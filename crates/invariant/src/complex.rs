@@ -27,42 +27,90 @@
 /// kind it refers to is determined by context.
 pub type CellId = usize;
 
-/// A set of region indices, implemented as a bit set.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+/// A set of region indices, implemented as a bit set of `region_count`
+/// rounded up to whole 64-bit words.
+///
+/// Up to 64 regions the single word is stored inline, so building,
+/// cloning and dropping a set never touches the heap; only wider schemas
+/// spill to a boxed word slice. Two sets are equal iff they have the same
+/// word count and the same bits, whichever representation holds them.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RegionSet {
-    bits: Vec<u64>,
+    words: Words,
+}
+
+/// The storage of a [`RegionSet`]. The representation is a function of the
+/// word count (0 or 1 inline, more spilled), so the derived equality
+/// compares word counts and bits exactly.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Words {
+    /// At most one word: `len` is 0 or 1, and `bits` is 0 when `len` is 0.
+    Inline { len: u8, bits: u64 },
+    /// Two or more words.
+    Spilled(Box<[u64]>),
+}
+
+impl Default for RegionSet {
+    fn default() -> Self {
+        RegionSet::new(0)
+    }
 }
 
 impl RegionSet {
     /// An empty set sized for `region_count` regions.
     pub fn new(region_count: usize) -> Self {
-        RegionSet { bits: vec![0; region_count.div_ceil(64)] }
+        let words = match region_count.div_ceil(64) {
+            len @ (0 | 1) => Words::Inline { len: len as u8, bits: 0 },
+            len => Words::Spilled(vec![0; len].into_boxed_slice()),
+        };
+        RegionSet { words }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline { len, bits } => &std::slice::from_ref(bits)[..*len as usize],
+            Words::Spilled(words) => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline { len, bits } => &mut std::slice::from_mut(bits)[..*len as usize],
+            Words::Spilled(words) => words,
+        }
     }
 
     /// Adds a region.
     pub fn insert(&mut self, region: usize) {
-        self.bits[region / 64] |= 1 << (region % 64);
+        self.words_mut()[region / 64] |= 1 << (region % 64);
     }
 
     /// Removes a region.
     pub fn remove(&mut self, region: usize) {
-        self.bits[region / 64] &= !(1 << (region % 64));
+        self.words_mut()[region / 64] &= !(1 << (region % 64));
     }
 
     /// Membership test.
     pub fn contains(&self, region: usize) -> bool {
-        self.bits.get(region / 64).map(|w| w & (1 << (region % 64)) != 0).unwrap_or(false)
+        self.words().get(region / 64).is_some_and(|w| w & (1 << (region % 64)) != 0)
     }
 
     /// True iff no region is present.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|w| *w == 0)
+        self.words().iter().all(|w| *w == 0)
     }
 
     /// The regions present, in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, bits)| {
-            (0..64).filter(move |b| bits & (1 << b) != 0).map(move |b| w * 64 + b)
+        self.words().iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
         })
     }
 }
@@ -534,6 +582,19 @@ mod tests {
         assert!(!s.contains(3));
         let empty = RegionSet::new(70);
         assert_ne!(s, empty);
+    }
+
+    #[test]
+    fn region_set_is_inline_up_to_one_word() {
+        // No larger than the `Vec<u64>` it replaced.
+        assert!(std::mem::size_of::<RegionSet>() <= 24);
+        let mut s = RegionSet::new(64);
+        assert!(matches!(s.words, Words::Inline { len: 1, .. }));
+        s.insert(63);
+        s.insert(0);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63]);
+        assert!(matches!(RegionSet::new(0).words, Words::Inline { len: 0, bits: 0 }));
+        assert!(matches!(RegionSet::new(65).words, Words::Spilled(ref w) if w.len() == 2));
     }
 
     /// Builds by hand the complex of a single square region: 4 vertices of

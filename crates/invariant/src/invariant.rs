@@ -97,9 +97,10 @@ pub struct TopologicalInvariant {
 /// Produced by [`TopologicalInvariant::to_parts`] and consumed by
 /// [`TopologicalInvariant::from_parts`], which recomputes the derived
 /// structure — the round trip is observationally exact (same canonical code,
-/// same relational export). This is the surface persistence layers such as
-/// `topo-store`'s snapshot/WAL format encode, so the invariant's in-memory
-/// derived caches never leak into an on-disk format.
+/// same relational export). Its fields are the layout persistence layers
+/// such as `topo-store`'s snapshot/WAL format encode (reading them through
+/// the invariant's borrowed accessors), so the invariant's in-memory derived
+/// caches never leak into an on-disk format.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InvariantParts {
     /// The schema the invariant was built over.
@@ -157,6 +158,10 @@ impl InvariantParts {
         if self.exterior_face >= nf {
             return Err(format!("exterior face {} out of {nf} faces", self.exterior_face));
         }
+        // Rotation slots and edge endpoints must describe the same
+        // incidences: each slot names an end of an edge that sits at this
+        // vertex, and each end of each edge appears in exactly one slot.
+        let mut end_seen = vec![false; 2 * ne];
         for (v, slots) in self.vertex_slots.iter().enumerate() {
             if self.vertex_sectors[v].len() != slots.len() {
                 return Err(format!("vertex {v}: sector count diverges from slot count"));
@@ -164,6 +169,13 @@ impl InvariantParts {
             for &(e, end) in slots {
                 if e >= ne || end > 1 {
                     return Err(format!("vertex {v}: slot ({e}, {end}) out of range"));
+                }
+                let at = self.edge_ends[e].map(|(a, b)| if end == 0 { a } else { b });
+                if at != Some(v) {
+                    return Err(format!("vertex {v}: slot ({e}, {end}) is not an end at v"));
+                }
+                if std::mem::replace(&mut end_seen[2 * e + end as usize], true) {
+                    return Err(format!("vertex {v}: slot ({e}, {end}) appears twice"));
                 }
             }
             for &f in &self.vertex_sectors[v] {
@@ -185,6 +197,9 @@ impl InvariantParts {
                 if a >= nv || b >= nv {
                     return Err(format!("edge {e}: endpoint out of {nv} vertices"));
                 }
+            }
+            if ends.is_some() && !(end_seen[2 * e] && end_seen[2 * e + 1]) {
+                return Err(format!("edge {e}: an end is missing from its vertex rotation"));
             }
             let (l, r) = self.edge_sides[e];
             if l >= nf || r >= nf {
@@ -281,7 +296,8 @@ impl TopologicalInvariant {
             canonical: OnceLock::new(),
         };
         invariant.compute_components();
-        invariant.compute_component_tree();
+        let tree = invariant.compute_component_tree();
+        debug_assert_eq!(tree, Ok(()), "a frozen complex has an unreachable component");
         invariant
     }
 
@@ -308,9 +324,10 @@ impl TopologicalInvariant {
     /// Rebuilds an invariant from its raw parts, recomputing the skeleton
     /// components, the component tree and face ownership. Rejects
     /// structurally inconsistent parts (length mismatches, out-of-range
-    /// cross-references) with a description instead of risking a panic in a
-    /// later query — the contract persistence layers need when the parts come
-    /// off a disk.
+    /// cross-references, a component the tree walk from the exterior face
+    /// never reaches) with a description instead of risking a panic or a
+    /// silently wrong tree in a later query — the contract persistence layers
+    /// need when the parts come off a disk.
     ///
     /// For parts obtained from [`to_parts`](Self::to_parts) the round trip is
     /// observationally exact: the same canonical code, the same relational
@@ -337,7 +354,9 @@ impl TopologicalInvariant {
             canonical: OnceLock::new(),
         };
         invariant.compute_components();
-        invariant.compute_component_tree();
+        invariant.compute_component_tree().map_err(|c| {
+            format!("component {c} is not reachable from the exterior face {}", parts.exterior_face)
+        })?;
         Ok(invariant)
     }
 
@@ -407,6 +426,14 @@ impl TopologicalInvariant {
         } else {
             None
         }
+    }
+
+    /// The containing face stored for a vertex, exactly as recorded in its
+    /// [`InvariantParts`]. Unlike [`isolated_vertex_face`](Self::isolated_vertex_face)
+    /// this does not hide the entry of a vertex that has edges, which is what
+    /// a serialiser needs to reproduce the parts byte for byte.
+    pub fn stored_isolated_face(&self, v: usize) -> Option<usize> {
+        self.vertex_isolated_face[v]
     }
 
     /// Regions containing a vertex.
@@ -511,94 +538,126 @@ impl TopologicalInvariant {
                 }
             }
         }
-        let mut component_ids: std::collections::HashMap<usize, ComponentId> =
-            std::collections::HashMap::new();
+        // Component ids in order of first appearance (vertices, then edges),
+        // through a dense root → id table.
+        let mut component_of_root = vec![usize::MAX; nv + ne];
         let mut components: Vec<Component> = Vec::new();
-        let mut component_of_vertex = vec![0; nv];
-        let mut component_of_edge = vec![0; ne];
-        for (v, comp) in component_of_vertex.iter_mut().enumerate() {
-            let root = find(&mut parent, v);
-            let id = *component_ids.entry(root).or_insert_with(|| {
+        let mut component_of_cell = vec![0; nv + ne];
+        for (cell, comp) in component_of_cell.iter_mut().enumerate() {
+            let root = find(&mut parent, cell);
+            if component_of_root[root] == usize::MAX {
+                component_of_root[root] = components.len();
                 components.push(Component::default());
-                components.len() - 1
-            });
-            components[id].vertices.push(v);
+            }
+            let id = component_of_root[root];
+            if cell < nv {
+                components[id].vertices.push(cell);
+            } else {
+                components[id].edges.push(cell - nv);
+            }
             *comp = id;
         }
-        for (e, comp) in component_of_edge.iter_mut().enumerate() {
-            let root = find(&mut parent, nv + e);
-            let id = *component_ids.entry(root).or_insert_with(|| {
-                components.push(Component::default());
-                components.len() - 1
-            });
-            components[id].edges.push(e);
-            *comp = id;
-        }
+        self.component_of_edge = component_of_cell.split_off(nv);
+        self.component_of_vertex = component_of_cell;
         self.components = components;
-        self.component_of_vertex = component_of_vertex;
-        self.component_of_edge = component_of_edge;
     }
 
     /// Builds the connected-component tree of the paper (Fig. 2): a
     /// level-order traversal from the exterior face assigns to every face the
     /// unique closest component owning it and to every component the face it
     /// is embedded in.
-    fn compute_component_tree(&mut self) {
+    ///
+    /// Runs in time linear in the invariant (plus one sort of the
+    /// face–component incidences): each dequeued component walks only its
+    /// own incident faces, in ascending face order. Returns the first
+    /// component the traversal never reaches — impossible for a valid
+    /// invariant, where every component is nested in some face.
+    fn compute_component_tree(&mut self) -> Result<(), ComponentId> {
         let face_count = self.face_count();
-        // Adjacency between faces and components.
-        let mut face_components: Vec<std::collections::HashSet<ComponentId>> =
-            vec![std::collections::HashSet::new(); face_count];
-        for e in 0..self.edge_count() {
+        let component_count = self.components.len();
+        // Face–component incidences, sorted by face then component.
+        let mut incidences: Vec<(usize, ComponentId)> = Vec::with_capacity(
+            2 * self.edge_count() + self.vertex_sectors.iter().map(Vec::len).sum::<usize>(),
+        );
+        for (e, &(a, b)) in self.edge_sides.iter().enumerate() {
             let c = self.component_of_edge[e];
-            let (a, b) = self.edge_sides[e];
-            face_components[a].insert(c);
-            face_components[b].insert(c);
+            incidences.push((a, c));
+            incidences.push((b, c));
         }
-        for v in 0..self.vertex_count() {
+        for (v, sectors) in self.vertex_sectors.iter().enumerate() {
             let c = self.component_of_vertex[v];
-            for &f in &self.vertex_sectors[v] {
-                face_components[f].insert(c);
-            }
+            incidences.extend(sectors.iter().map(|&f| (f, c)));
             if self.vertex_slots[v].is_empty() {
                 if let Some(f) = self.vertex_isolated_face[v] {
-                    face_components[f].insert(c);
+                    incidences.push((f, c));
                 }
             }
         }
+        incidences.sort_unstable();
+        incidences.dedup();
+        // Both directions as offset tables: `components_of_face[face_start[f]..
+        // face_start[f + 1]]` ascends by component, `faces_of_component[..]`
+        // (filled in incidence order) ascends by face.
+        let mut face_start = vec![0usize; face_count + 1];
+        let mut component_start = vec![0usize; component_count + 1];
+        for &(f, c) in &incidences {
+            face_start[f + 1] += 1;
+            component_start[c + 1] += 1;
+        }
+        for i in 0..face_count {
+            face_start[i + 1] += face_start[i];
+        }
+        for i in 0..component_count {
+            component_start[i + 1] += component_start[i];
+        }
+        let components_of_face: Vec<ComponentId> = incidences.iter().map(|&(_, c)| c).collect();
+        let mut faces_of_component = vec![0usize; incidences.len()];
+        let mut next = component_start.clone();
+        for &(f, c) in &incidences {
+            faces_of_component[next[c]] = f;
+            next[c] += 1;
+        }
+
+        let exterior = self.exterior_face;
         let mut face_owner: Vec<Option<ComponentId>> = vec![None; face_count];
-        let mut component_assigned = vec![false; self.components.len()];
-        let mut queue: std::collections::VecDeque<(ComponentId, usize, usize)> =
-            std::collections::VecDeque::new();
+        let mut assigned = vec![false; component_count];
+        // The queue in level order; a component's parent face and depth are
+        // fixed when it is enqueued.
+        let mut queue: Vec<ComponentId> = Vec::with_capacity(component_count);
         // The exterior face is owned by nobody; its adjacent components are the
         // roots of the forest (depth 0, parent = exterior face).
-        for &c in &face_components[self.exterior_face] {
-            if !component_assigned[c] {
-                component_assigned[c] = true;
-                queue.push_back((c, self.exterior_face, 0));
-            }
+        for &c in &components_of_face[face_start[exterior]..face_start[exterior + 1]] {
+            assigned[c] = true;
+            self.components[c].parent_face = exterior;
+            self.components[c].depth = 0;
+            queue.push(c);
         }
-        while let Some((c, parent_face, depth)) = queue.pop_front() {
-            self.components[c].parent_face = parent_face;
-            self.components[c].depth = depth;
+        let mut head = 0;
+        while let Some(&c) = queue.get(head) {
+            head += 1;
+            let depth = self.components[c].depth;
             // Faces adjacent to this component that are not yet owned belong
             // to it.
-            let adjacent_faces: Vec<usize> = (0..face_count)
-                .filter(|&f| f != self.exterior_face && face_components[f].contains(&c))
-                .collect();
-            for f in adjacent_faces {
-                if face_owner[f].is_some() {
+            for &f in &faces_of_component[component_start[c]..component_start[c + 1]] {
+                if f == exterior || face_owner[f].is_some() {
                     continue;
                 }
                 face_owner[f] = Some(c);
-                for &child in &face_components[f] {
-                    if !component_assigned[child] {
-                        component_assigned[child] = true;
-                        queue.push_back((child, f, depth + 1));
+                for &child in &components_of_face[face_start[f]..face_start[f + 1]] {
+                    if !assigned[child] {
+                        assigned[child] = true;
+                        self.components[child].parent_face = f;
+                        self.components[child].depth = depth + 1;
+                        queue.push(child);
                     }
                 }
             }
         }
         self.face_owner = face_owner;
+        match assigned.iter().position(|&reached| !reached) {
+            Some(c) => Err(c),
+            None => Ok(()),
+        }
     }
 
     /// The connected components of the skeleton.

@@ -24,8 +24,8 @@
 //! followed by a single framed record holding the full live state: the next
 //! WAL sequence number, the slot counts (so dead ids stay dead after
 //! recovery), every live class `(class, code_hash, invariant)` and every
-//! live instance `(id, class)`. Invariants are serialised through
-//! [`topo_invariant::InvariantParts`], and each class record carries its
+//! live instance `(id, class)`. Invariants are serialised field by field in
+//! the [`topo_invariant::InvariantParts`] layout, and each class record carries its
 //! already-computed [`CodeHash`] — **recovery never re-canonicalises**.
 //!
 //! # Recovery contract
@@ -77,10 +77,13 @@ const TAG_UPDATE: u8 = 0x03;
 // ---------------------------------------------------------------------------
 // checksum
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven; the table is
-/// built at compile time so the hot path is one lookup per byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: `CRC_TABLES[0]`
+/// is the classic byte table, and `CRC_TABLES[k][b]` is the CRC register
+/// contribution of byte `b` followed by `k` zero bytes. All eight tables are
+/// built at compile time, so the hot loop folds eight bytes per step with
+/// eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -89,17 +92,41 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 checksum of a byte slice (IEEE polynomial).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -402,9 +429,8 @@ fn next_frame(stream: &[u8]) -> Frame<'_> {
 // invariant (de)serialisation
 
 fn encode_region_set(enc: &mut Enc, set: &topo_invariant::RegionSet) {
-    let members: Vec<usize> = set.iter().collect();
-    enc.usize32(members.len());
-    for m in members {
+    enc.usize32(set.iter().count());
+    for m in set.iter() {
         enc.usize32(m);
     }
 }
@@ -445,31 +471,34 @@ fn decode_opt_usize(dec: &mut Dec<'_>, what: &str) -> Result<Option<usize>, Pers
     }
 }
 
-/// Serialises an invariant through its [`InvariantParts`] view.
+/// Serialises an invariant field by field in its [`InvariantParts`] layout,
+/// reading the stored fields through borrowed accessors (no intermediate
+/// copy of the invariant).
 pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) {
-    let parts = invariant.to_parts();
-    enc.usize32(parts.schema.len());
-    for (_, name) in parts.schema.iter() {
+    enc.usize32(invariant.schema().len());
+    for (_, name) in invariant.schema().iter() {
         enc.bytes(name.as_bytes());
     }
-    enc.usize32(parts.vertex_slots.len());
-    for v in 0..parts.vertex_slots.len() {
-        enc.usize32(parts.vertex_slots[v].len());
-        for &(edge, end) in &parts.vertex_slots[v] {
+    enc.usize32(invariant.vertex_count());
+    for v in 0..invariant.vertex_count() {
+        let slots = invariant.vertex_slots(v);
+        enc.usize32(slots.len());
+        for &(edge, end) in slots {
             enc.usize32(edge);
             enc.u8(end);
         }
-        enc.usize32(parts.vertex_sectors[v].len());
-        for &face in &parts.vertex_sectors[v] {
+        let sectors = invariant.vertex_sector_faces(v);
+        enc.usize32(sectors.len());
+        for &face in sectors {
             enc.usize32(face);
         }
-        encode_opt_usize(enc, parts.vertex_isolated_face[v]);
-        encode_region_set(enc, &parts.vertex_regions[v]);
-        encode_region_set(enc, &parts.vertex_boundary[v]);
+        encode_opt_usize(enc, invariant.stored_isolated_face(v));
+        encode_region_set(enc, invariant.vertex_regions(v));
+        encode_region_set(enc, invariant.vertex_boundary_regions(v));
     }
-    enc.usize32(parts.edge_ends.len());
-    for e in 0..parts.edge_ends.len() {
-        match parts.edge_ends[e] {
+    enc.usize32(invariant.edge_count());
+    for e in 0..invariant.edge_count() {
+        match invariant.edge_endpoints(e) {
             None => enc.u8(0),
             Some((a, b)) => {
                 enc.u8(1);
@@ -477,17 +506,17 @@ pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) 
                 enc.usize32(b);
             }
         }
-        let (left, right) = parts.edge_sides[e];
+        let (left, right) = invariant.edge_faces(e);
         enc.usize32(left);
         enc.usize32(right);
-        encode_region_set(enc, &parts.edge_regions[e]);
-        encode_region_set(enc, &parts.edge_boundary[e]);
+        encode_region_set(enc, invariant.edge_regions(e));
+        encode_region_set(enc, invariant.edge_boundary_regions(e));
     }
-    enc.usize32(parts.face_regions.len());
-    for face in &parts.face_regions {
-        encode_region_set(enc, face);
+    enc.usize32(invariant.face_count());
+    for f in 0..invariant.face_count() {
+        encode_region_set(enc, invariant.face_regions(f));
     }
-    enc.usize32(parts.exterior_face);
+    enc.usize32(invariant.exterior_face());
 }
 
 /// Deserialises an invariant; structural validation happens in
@@ -495,14 +524,16 @@ pub(crate) fn encode_invariant(enc: &mut Enc, invariant: &TopologicalInvariant) 
 /// the checksum still cannot build an inconsistent invariant.
 pub(crate) fn decode_invariant(dec: &mut Dec<'_>) -> Result<TopologicalInvariant, PersistError> {
     let region_count = dec.usize32("schema size")?;
-    let mut names = Vec::with_capacity(region_count.min(1024));
+    let mut schema = Schema::new();
     for _ in 0..region_count {
         let raw = dec.bytes("region name")?;
         let name = std::str::from_utf8(raw)
             .map_err(|_| PersistError::Corrupt("region name is not UTF-8".into()))?;
-        names.push(name.to_owned());
+        if schema.id(name).is_some() {
+            return Err(PersistError::Corrupt(format!("duplicate region name {name:?}")));
+        }
+        schema.add(name);
     }
-    let schema = Schema::from_names(names);
 
     let nv = dec.usize32("vertex count")?;
     let mut vertex_slots = Vec::with_capacity(nv.min(65_536));
@@ -718,6 +749,9 @@ impl InvariantStore {
             return;
         }
         if persistence.broken.load(Ordering::SeqCst) {
+            // Skipped records still consume their sequence numbers, like the
+            // single-record paths: every assigned id has a seq below `seq`.
+            persistence.seq.fetch_add(records.len() as u64, Ordering::SeqCst);
             self.counters.wal_errors.fetch_add(records.len() as u64, Ordering::Relaxed);
             return;
         }
@@ -852,17 +886,25 @@ fn decode_snapshot(
 
     let mut dec = Dec::new(body);
     let seq = dec.u64("snapshot seq")?;
-    let class_slots = dec.u64("class slot count")? as usize;
-    let instance_slots = dec.u64("instance slot count")? as usize;
-    classes.reps = vec![None; class_slots];
-    classes.hashes = vec![CodeHash::from_u64(0); class_slots];
-    classes.members = vec![Vec::new(); class_slots];
-    instances.slots = vec![None; instance_slots];
+    let class_slots = dec.u64("class slot count")?;
+    let instance_slots = dec.u64("instance slot count")?;
+    // Every class and instance id was assigned by a mutation, and every
+    // mutation consumed one sequence number, so no table can be longer than
+    // `seq`. Checked before anything is sized by a count from disk.
+    if class_slots.max(instance_slots) > seq {
+        return Err(PersistError::Corrupt(format!(
+            "slot counts {class_slots}/{instance_slots} exceed snapshot seq {seq}"
+        )));
+    }
+    classes.reps = filled_table(class_slots, None)?;
+    classes.hashes = filled_table(class_slots, CodeHash::from_u64(0))?;
+    classes.members = filled_table(class_slots, Vec::new())?;
+    instances.slots = filled_table(instance_slots, None)?;
 
     let live_classes = dec.u64("live class count")? as usize;
     for _ in 0..live_classes {
         let class = dec.u64("class id")? as usize;
-        if class >= class_slots {
+        if class >= classes.reps.len() {
             return Err(PersistError::Corrupt(format!("class id {class} out of range")));
         }
         let hash = CodeHash::from_u64(dec.u64("class code hash")?);
@@ -877,7 +919,7 @@ fn decode_snapshot(
     for _ in 0..live_instances {
         let id = dec.u64("instance id")? as usize;
         let class = dec.u64("instance class")? as usize;
-        if id >= instance_slots {
+        if id >= instances.slots.len() {
             return Err(PersistError::Corrupt(format!("instance id {id} out of range")));
         }
         if classes.reps.get(class).map(Option::is_some) != Some(true) {
@@ -895,6 +937,18 @@ fn decode_snapshot(
         return Err(PersistError::Corrupt("trailing bytes inside snapshot body".into()));
     }
     Ok(seq)
+}
+
+/// A table of `count` copies of `fill`, for a slot count read from disk: an
+/// allocation the platform refuses is a corrupt count, not an abort.
+fn filled_table<T: Clone>(count: u64, fill: T) -> Result<Vec<T>, PersistError> {
+    let len = usize::try_from(count).unwrap_or(usize::MAX);
+    let mut table = Vec::new();
+    table
+        .try_reserve_exact(len)
+        .map_err(|_| PersistError::Corrupt(format!("cannot allocate a table of {count} slots")))?;
+    table.resize(len, fill);
+    Ok(table)
 }
 
 /// Applies one checksum-valid WAL payload to the recovering tables; records
