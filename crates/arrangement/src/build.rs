@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use topo_geometry::{
     pseudo_angle_cmp, BBox, DirectionVector, Point, SegmentGrid, SegmentIntersection,
 };
-use topo_parallel::Pool;
 
 /// Builds the planar arrangement induced by the input segments and points.
 pub fn build_arrangement(input: &ArrangementInput) -> Arrangement {
@@ -67,16 +66,11 @@ struct Builder<'a> {
     input: &'a ArrangementInput,
     vertex_ids: HashMap<Point, VertexId>,
     vertices: Vec<Point>,
-    /// The pool the hot phases fan out over. Every parallel phase is
-    /// bit-identical to its sequential form at any thread count (see the
-    /// per-phase comments), so the builder takes the global pool
-    /// unconditionally.
-    pool: Pool,
 }
 
 impl<'a> Builder<'a> {
     fn new(input: &'a ArrangementInput) -> Self {
-        Builder { input, vertex_ids: HashMap::new(), vertices: Vec::new(), pool: Pool::global() }
+        Builder { input, vertex_ids: HashMap::new(), vertices: Vec::new() }
     }
 
     fn intern(&mut self, p: Point) -> VertexId {
@@ -113,34 +107,19 @@ impl<'a> Builder<'a> {
         let mut splits: Vec<Vec<Point>> = segments.iter().map(|s| vec![s.a, s.b]).collect();
         if !segments.is_empty() {
             let grid = SegmentGrid::build(&segments);
-            let pairs = grid.candidate_pairs_pooled(self.pool);
-            // Exact pairwise intersection fans out over contiguous pair
-            // chunks; each chunk records `(segment, split point)` events in
-            // pair order, so applying the chunks in order replays exactly
-            // the sequential push sequence. (Order is erased again anyway by
-            // the per-segment sort + dedup in `build_edges`.)
-            let events: Vec<Vec<(usize, Point)>> = self.pool.par_chunks(&pairs, 256, |_, chunk| {
-                let mut out: Vec<(usize, Point)> = Vec::new();
-                for &(i, j) in chunk {
-                    match segments[i].intersect(&segments[j]) {
-                        SegmentIntersection::None => {}
-                        SegmentIntersection::Point(p) => {
-                            out.push((i, p));
-                            out.push((j, p));
-                        }
-                        SegmentIntersection::Overlap(p, q) => {
-                            out.push((i, p));
-                            out.push((i, q));
-                            out.push((j, p));
-                            out.push((j, q));
-                        }
+            for (i, j) in grid.candidate_pairs() {
+                match segments[i].intersect(&segments[j]) {
+                    SegmentIntersection::None => {}
+                    SegmentIntersection::Point(p) => {
+                        splits[i].push(p);
+                        splits[j].push(p);
                     }
-                }
-                out
-            });
-            for chunk in events {
-                for (idx, p) in chunk {
-                    splits[idx].push(p);
+                    SegmentIntersection::Overlap(p, q) => {
+                        splits[i].push(p);
+                        splits[i].push(q);
+                        splits[j].push(p);
+                        splits[j].push(q);
+                    }
                 }
             }
             // Isolated input points lying in the interior of a segment force a
@@ -195,19 +174,14 @@ impl<'a> Builder<'a> {
             rotations[*v1].push(e);
             rotations[*v2].push(e);
         }
-        // Per-vertex comparator sorts are independent, so in-place chunked
-        // fan-out is trivially deterministic.
-        self.pool.par_chunks_mut(&mut rotations, 128, |offset, chunk| {
-            for (k, rot) in chunk.iter_mut().enumerate() {
-                let v = offset + k;
-                let origin = self.vertices[v];
-                rot.sort_by(|&e1, &e2| {
-                    let d1 = self.outgoing_direction(edges, e1, v, origin);
-                    let d2 = self.outgoing_direction(edges, e2, v, origin);
-                    pseudo_angle_cmp(&d1, &d2)
-                });
-            }
-        });
+        for (v, rot) in rotations.iter_mut().enumerate() {
+            let origin = self.vertices[v];
+            rot.sort_by(|&e1, &e2| {
+                let d1 = self.outgoing_direction(edges, e1, v, origin);
+                let d2 = self.outgoing_direction(edges, e2, v, origin);
+                pseudo_angle_cmp(&d1, &d2)
+            });
+        }
         rotations
     }
 
@@ -433,36 +407,28 @@ impl<'a> Builder<'a> {
         let cycle_index = CycleIndex::build(&all_geometry);
 
         // Nest every component: its outer contour becomes a boundary cycle of
-        // the face that contains the component. Each probe only reads the
-        // immutable cycle tables, so the probes fan out per chunk (one
-        // candidate scratch buffer per chunk) and the per-component answers
-        // flatten back in component order.
-        let parent_face_chunks: Vec<Vec<FaceId>> =
-            self.pool.par_chunks(&comp_min_vertex, 32, |offset, chunk| {
-                let mut candidates: Vec<usize> = Vec::new();
-                let mut out = Vec::with_capacity(chunk.len());
-                for (k, &min_v) in chunk.iter().enumerate() {
-                    let c = offset + k;
-                    let probe = self.vertices[min_v];
-                    cycle_index.candidates_into(&probe, &mut candidates);
-                    let containers: Vec<usize> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&k| {
-                            cycle_component[positive_cycles[k]] != Some(c)
-                                && all_geometry[k].contains(&probe)
-                        })
-                        .collect();
-                    out.push(if containers.is_empty() {
-                        exterior_face
-                    } else {
-                        let inner = innermost(&containers, &all_geometry);
-                        face_of_cycle[positive_cycles[inner]].unwrap()
-                    });
-                }
-                out
+        // the face that contains the component. One candidate buffer serves
+        // every probe, here and for the isolated vertices below.
+        let mut candidates: Vec<usize> = Vec::new();
+        let mut parent_face_of_comp: Vec<FaceId> = Vec::with_capacity(comp_count);
+        for (c, &min_v) in comp_min_vertex.iter().enumerate() {
+            let probe = self.vertices[min_v];
+            cycle_index.candidates_into(&probe, &mut candidates);
+            let containers: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|&k| {
+                    cycle_component[positive_cycles[k]] != Some(c)
+                        && all_geometry[k].contains(&probe)
+                })
+                .collect();
+            parent_face_of_comp.push(if containers.is_empty() {
+                exterior_face
+            } else {
+                let inner = innermost(&containers, &all_geometry);
+                face_of_cycle[positive_cycles[inner]].unwrap()
             });
-        let parent_face_of_comp: Vec<FaceId> = parent_face_chunks.into_iter().flatten().collect();
+        }
         debug_assert_eq!(parent_face_of_comp.len(), comp_count);
         for cycle in 0..cycle_count {
             if face_of_cycle[cycle].is_none() && cycle_component[cycle].is_some() {
@@ -471,38 +437,20 @@ impl<'a> Builder<'a> {
             }
         }
 
-        // Isolated vertices: same read-only probe shape as the component
-        // nesting above, fanned out over the isolated-vertex list.
-        let isolated_vertices: Vec<VertexId> = rotations
-            .iter()
-            .enumerate()
-            .take(n)
-            .filter(|(_, rot)| rot.is_empty())
-            .map(|(v, _)| v)
-            .collect();
-        let isolated_chunks: Vec<Vec<(VertexId, FaceId)>> =
-            self.pool.par_chunks(&isolated_vertices, 32, |_, chunk| {
-                let mut candidates: Vec<usize> = Vec::new();
-                let mut out = Vec::with_capacity(chunk.len());
-                for &v in chunk {
-                    let probe = self.vertices[v];
-                    cycle_index.candidates_into(&probe, &mut candidates);
-                    let containers: Vec<usize> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&k| all_geometry[k].contains(&probe))
-                        .collect();
-                    let face = if containers.is_empty() {
-                        exterior_face
-                    } else {
-                        face_of_cycle[positive_cycles[innermost(&containers, &all_geometry)]]
-                            .unwrap()
-                    };
-                    out.push((v, face));
-                }
-                out
-            });
-        let isolated: Vec<(VertexId, FaceId)> = isolated_chunks.into_iter().flatten().collect();
+        // Isolated vertices: the same probe as the component nesting above.
+        let mut isolated: Vec<(VertexId, FaceId)> = Vec::new();
+        for v in (0..n).filter(|&v| rotations[v].is_empty()) {
+            let probe = self.vertices[v];
+            cycle_index.candidates_into(&probe, &mut candidates);
+            let containers: Vec<usize> =
+                candidates.iter().copied().filter(|&k| all_geometry[k].contains(&probe)).collect();
+            let face = if containers.is_empty() {
+                exterior_face
+            } else {
+                face_of_cycle[positive_cycles[innermost(&containers, &all_geometry)]].unwrap()
+            };
+            isolated.push((v, face));
+        }
 
         // Edge incidences and face boundaries.
         let mut arr_edges: Vec<ArrEdge> = Vec::with_capacity(edges.len());

@@ -16,10 +16,10 @@
 //! and the memo-disabled baseline. A fifth stage measures the durability
 //! layer: WAL-logged ingest, WAL replay, snapshot write/load, and mixed
 //! snapshot+WAL recovery at three workload sizes. A sixth stage sweeps the
-//! in-tree thread pool (`topo-parallel`) over pool sizes 1/2/4/8: end-to-end
-//! `top(I)`, cold canonicalisation and the batched store ingest at each pool
-//! size, recording the speedup-vs-threads curve (and the host's core count,
-//! so a single-core CI run is honest about what it could measure). A seventh
+//! in-tree thread pool (`topo-parallel`) over pool sizes 1/2/4/8 on the
+//! batched store ingest — the only fan-out left, one instance per task —
+//! recording the speedup-vs-threads curve (and the host's core count, so a
+//! single-core CI run is honest about what it could measure). A seventh
 //! stage — `demand` — measures the goal-directed path introduced with the
 //! magic-set rewrite: the library's linear connectivity program under
 //! `run_goal` vs plain bottom-up `run`, against the retired quadratic
@@ -103,10 +103,6 @@ const STORE_QUERY_ROUNDS_QUICK: usize = 1;
 /// Pool sizes the parallel stage sweeps (1 is the sequential fallback and the
 /// baseline every speedup is measured against).
 const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Workload grid for the parallel stage: the largest construction scale (the
-/// hot case the pool exists for), smaller in quick mode.
-const PARALLEL_GRID: usize = 28;
-const PARALLEL_GRID_QUICK: usize = 12;
 /// Scales for the incremental-maintenance stage: a small grid where full
 /// rebuilds are cheap (the honest case for incremental repair) and a medium
 /// grid where they are not.
@@ -661,44 +657,28 @@ fn measure_persist(quick: bool) -> Vec<RecoveryReport> {
 /// The parallel stage at one pool size.
 struct ParallelReport {
     threads: usize,
-    top_ns: u128,
-    canonical_ns: u128,
     batch_ingest_ns: u128,
 }
 
 /// The whole parallel stage: the sweep plus the context needed to read it.
 struct ParallelStage {
     host_threads: usize,
-    grid: usize,
-    cells: usize,
     batch_size: usize,
     samples: usize,
     sweep: Vec<ParallelReport>,
 }
 
-impl ParallelStage {
-    fn baseline(&self) -> &ParallelReport {
-        self.sweep.iter().find(|r| r.threads == 1).expect("sweep includes 1 thread")
-    }
-}
-
-/// Sweeps the in-tree thread pool over [`PARALLEL_THREADS`], measuring the
-/// end-to-end `top(I)` build, a cold canonicalisation and the batched store
-/// ingest at each pool size on the hydro workload (the grid-28 case the
-/// ROADMAP names). The pool size is set via
+/// Sweeps the in-tree thread pool over [`PARALLEL_THREADS`], timing the
+/// batched store ingest (`try_ingest_batch`, which builds and canonicalises
+/// one instance per pool task) at each pool size. The pool size is set via
 /// `topo_parallel::set_global_threads` — the same switch `TOPO_THREADS`
 /// feeds — and restored afterwards. On a host with fewer cores than the
 /// sweep asks for, the curve goes flat instead of up; `host_threads` in the
 /// JSON records how many cores the numbers were measured on.
 fn measure_parallel(quick: bool) -> ParallelStage {
-    let grid = if quick { PARALLEL_GRID_QUICK } else { PARALLEL_GRID };
     let samples = if quick { 3 } else { 5 };
-    let instance = sequoia_hydro(Scale { grid }, SEED);
-    let cells = topo_core::top(&instance).cell_count();
-
-    // The batch the store stage ingests at each pool size: homeomorphic
-    // copies of three small bases, so canonicalisation dominates and the
-    // dedup path is exercised.
+    // Homeomorphic copies of three small bases, so canonicalisation
+    // dominates and the dedup path is exercised.
     let small = Scale { grid: 4 };
     let bases = [sequoia_landcover(small, SEED), sequoia_hydro(small, SEED), ign_city(small, SEED)];
     let mut batch: Vec<SpatialInstance> = Vec::new();
@@ -713,25 +693,16 @@ fn measure_parallel(quick: bool) -> ParallelStage {
     let mut sweep = Vec::new();
     for &threads in &PARALLEL_THREADS {
         topo_core::parallel::set_global_threads(threads);
-        let top_ns = median_ns(samples, || topo_core::top(&instance));
-        let canonical_ns = median_ns_with(
-            samples,
-            || topo_core::top(&instance),
-            |invariant| {
-                invariant.canonical_code();
-                invariant
-            },
-        );
         let batch_ingest_ns = median_ns_with(samples, InvariantStore::default, |store| {
             store.try_ingest_batch(&batch);
             store
         });
-        sweep.push(ParallelReport { threads, top_ns, canonical_ns, batch_ingest_ns });
+        sweep.push(ParallelReport { threads, batch_ingest_ns });
     }
     topo_core::parallel::set_global_threads(previous);
 
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    ParallelStage { host_threads, grid, cells, batch_size: batch.len(), samples, sweep }
+    ParallelStage { host_threads, batch_size: batch.len(), samples, sweep }
 }
 
 /// The bound-goal single-source reachability demo at one scale: the
@@ -1073,10 +1044,10 @@ fn main() {
          recovery section measures the snapshot + WAL durability layer on the in-memory \
          backend at three workload sizes: WAL-logged ingest and replay throughput, \
          snapshot write/load, and a mixed snapshot+WAL recovery; the parallel section \
-         sweeps the in-tree topo-parallel pool over 1/2/4/8 threads on the hydro workload \
-         — end-to-end top(I), cold canonicalisation and the batched store ingest per pool \
-         size, with host_threads recording how many cores the sweep actually had (on a \
-         single-core host the curve is honestly flat); the incremental section measures \
+         sweeps the in-tree topo-parallel pool over 1/2/4/8 threads on the batched store \
+         ingest (one instance per pool task, the only fan-out), with host_threads \
+         recording how many cores the sweep actually had (on a single-core host the curve \
+         is honestly flat); the incremental section measures \
          single-region edit latency through MaintainedInvariant — remove one region, read \
          the repaired canonical hash, re-insert, read again, rotating over the regions — \
          against the same state sequence as two cold top(I) rebuilds, on warmed maintenance \
@@ -1440,51 +1411,33 @@ fn main() {
         sections.push(sec);
     }
 
-    // The thread-pool sweep: speedup-vs-threads curves for the parallel
-    // construction pipeline and the batched store ingest.
+    // The thread-pool sweep: speedup-vs-threads curve for the batched store
+    // ingest.
     if run_stage("parallel") {
         eprintln!("== parallel stage ==");
         let parallel = measure_parallel(quick);
-        let base = parallel.baseline();
-        let (base_top, base_canonical, base_batch) =
-            (base.top_ns, base.canonical_ns, base.batch_ingest_ns);
+        let base_batch = parallel.sweep[0].batch_ingest_ns;
         eprintln!(
-            "  hydro grid {} ({} cells), batch of {} instances, host threads {}",
-            parallel.grid, parallel.cells, parallel.batch_size, parallel.host_threads,
+            "  batch of {} instances, host threads {}",
+            parallel.batch_size, parallel.host_threads,
         );
         let mut sec = String::new();
         sec.push_str("  \"parallel\": {\n");
         sec.push_str(&format!("    \"host_threads\": {},\n", parallel.host_threads));
-        sec.push_str("    \"workload\": \"sequoia_hydro\",\n");
-        sec.push_str(&format!("    \"grid\": {},\n", parallel.grid));
-        sec.push_str(&format!("    \"cells\": {},\n", parallel.cells));
         sec.push_str(&format!("    \"batch_size\": {},\n", parallel.batch_size));
         sec.push_str(&format!("    \"samples\": {},\n", parallel.samples));
         sec.push_str("    \"sweep\": [\n");
         for (i, r) in parallel.sweep.iter().enumerate() {
-            let speedup = |baseline: u128, ns: u128| baseline as f64 / ns as f64;
+            let speedup = base_batch as f64 / r.batch_ingest_ns as f64;
             eprintln!(
-                "  threads {:>2}: top {:>12} ns ({:.2}x)  canonical {:>12} ns ({:.2}x)  \
-                 batch ingest {:>12} ns ({:.2}x)",
-                r.threads,
-                r.top_ns,
-                speedup(base_top, r.top_ns),
-                r.canonical_ns,
-                speedup(base_canonical, r.canonical_ns),
-                r.batch_ingest_ns,
-                speedup(base_batch, r.batch_ingest_ns),
+                "  threads {:>2}: batch ingest {:>12} ns ({speedup:.2}x)",
+                r.threads, r.batch_ingest_ns,
             );
             sec.push_str("      {\n");
             sec.push_str(&format!("        \"threads\": {},\n", r.threads));
-            sec.push_str(&format!("        \"top_ns\": {},\n", r.top_ns));
-            sec.push_str(&format!("        \"canonical_ns\": {},\n", r.canonical_ns));
             sec.push_str(&format!("        \"batch_ingest_ns\": {},\n", r.batch_ingest_ns));
             sec.push_str(&format!(
-                "        \"speedup_vs_1\": {{\"top\": {:.2}, \"canonical\": {:.2}, \
-                 \"batch_ingest\": {:.2}}}\n",
-                speedup(base_top, r.top_ns),
-                speedup(base_canonical, r.canonical_ns),
-                speedup(base_batch, r.batch_ingest_ns),
+                "        \"speedup_vs_1\": {{\"batch_ingest\": {speedup:.2}}}\n"
             ));
             sec.push_str(if i + 1 < parallel.sweep.len() { "      },\n" } else { "      }\n" });
         }

@@ -217,18 +217,12 @@ pub fn canonical_code(invariant: &TopologicalInvariant) -> CanonicalCode {
 
 /// The canonical form (code + realising cell order) of an invariant.
 ///
-/// The two orientation sweeps are independent and run as a pool join; within
-/// each sweep, components at the same tree depth are independent given the
-/// deeper results and fan out per chunk (see `global_form`). Every
-/// component's minimal code is a pure function of the invariant, so the
-/// result is bit-identical at any thread count.
+/// Both orientations are swept and the lexicographically smaller token
+/// stream wins.
 pub fn canonical_form(invariant: &TopologicalInvariant) -> CanonicalForm {
     let indexes = Indexes::build(invariant);
-    let pool = topo_parallel::Pool::global();
-    let (ccw, cw) = pool.join(
-        || global_form(invariant, &indexes, pool, Orientation::CounterClockwise),
-        || global_form(invariant, &indexes, pool, Orientation::Clockwise),
-    );
+    let ccw = global_form(invariant, &indexes, Orientation::CounterClockwise);
+    let cw = global_form(invariant, &indexes, Orientation::Clockwise);
     let (tokens, order) = if ccw.0 <= cw.0 { ccw } else { cw };
     let schema = invariant.schema().iter().map(|(_, name)| name.to_string()).collect();
     CanonicalForm { code: CanonicalCode { schema, tokens }, order }
@@ -672,10 +666,9 @@ struct SweepOutput {
 fn global_form(
     inv: &TopologicalInvariant,
     idx: &Indexes,
-    pool: topo_parallel::Pool,
     orientation: Orientation,
 ) -> (Vec<u32>, Vec<CellRef>) {
-    let swept = sweep_components(inv, idx, pool, orientation);
+    let swept = sweep_components(inv, idx, orientation);
 
     // Top level: the components embedded in the exterior face.
     let exterior = inv.exterior_face();
@@ -697,7 +690,6 @@ fn global_form(
 fn sweep_components(
     inv: &TopologicalInvariant,
     idx: &Indexes,
-    pool: topo_parallel::Pool,
     orientation: Orientation,
 ) -> SweepOutput {
     let ncomp = inv.components().len();
@@ -708,54 +700,16 @@ fn sweep_components(
     let mut face_blob: Vec<Vec<u32>> = vec![Vec::new(); nf];
     let mut face_child_order: Vec<Vec<ComponentId>> = vec![Vec::new(); nf];
 
-    // `by_depth` is sorted deepest-first; components at equal depth are
-    // mutually independent given the deeper results, so each depth level
-    // joins its children blobs sequentially (cheap) and then sweeps its
-    // components on the pool. Each component's minimal code is a pure
-    // function of `(inv, idx, component, orientation, face_blob)`, results
-    // are keyed by component id, and scratch state is per chunk — the level
-    // output is bit-identical to the sequential sweep at any thread count.
-    let mut level_start = 0usize;
-    while level_start < ncomp {
-        let depth = inv.components()[idx.by_depth[level_start]].depth;
-        let mut level_end = level_start + 1;
-        while level_end < ncomp && inv.components()[idx.by_depth[level_end]].depth == depth {
-            level_end += 1;
+    // `by_depth` is sorted deepest-first, so when `c` is reached every
+    // component embedded in one of its faces is finished. A component's code
+    // reads the children blobs of its own faces only.
+    for &c in &idx.by_depth {
+        for &f in &idx.owned_faces[c] {
+            let (blob, order) = join_children(&idx.children[f], &results);
+            face_blob[f] = blob;
+            face_child_order[f] = order;
         }
-        let level = &idx.by_depth[level_start..level_end];
-        for &c in level {
-            // All deeper components are finished; join the children embedded
-            // in each face owned by `c` into one sorted-multiset blob.
-            for &f in &idx.owned_faces[c] {
-                let (blob, order) = join_children(&idx.children[f], &results);
-                face_blob[f] = blob;
-                face_child_order[f] = order;
-            }
-        }
-        if level.len() > 1 && pool.is_parallel() {
-            // One scratch per chunk (scratch buffers are sized by the whole
-            // invariant, so chunks are capped near the thread count).
-            let min_chunk = level.len().div_ceil(pool.threads());
-            let computed: Vec<Vec<(ComponentId, CompResult)>> =
-                pool.par_chunks(level, min_chunk, |_, chunk| {
-                    let mut local = Scratch::new(inv);
-                    chunk
-                        .iter()
-                        .map(|&c| {
-                            (c, component_code(inv, idx, &mut local, c, orientation, &face_blob))
-                        })
-                        .collect()
-                });
-            for (c, result) in computed.into_iter().flatten() {
-                results[c] = Some(result);
-            }
-        } else {
-            for &c in level {
-                results[c] =
-                    Some(component_code(inv, idx, &mut scratch, c, orientation, &face_blob));
-            }
-        }
-        level_start = level_end;
+        results[c] = Some(component_code(inv, idx, &mut scratch, c, orientation, &face_blob));
     }
     SweepOutput { results, face_child_order }
 }
@@ -816,21 +770,18 @@ pub(crate) struct SubtreeForm {
 /// `maintain` relies on to canonicalise disjoint region groups independently.
 pub(crate) fn oriented_top_forms(inv: &TopologicalInvariant) -> [Vec<SubtreeForm>; 2] {
     let idx = Indexes::build(inv);
-    let pool = topo_parallel::Pool::global();
-    let (ccw, cw) = pool.join(
-        || top_forms(inv, &idx, pool, Orientation::CounterClockwise),
-        || top_forms(inv, &idx, pool, Orientation::Clockwise),
-    );
-    [ccw, cw]
+    [
+        top_forms(inv, &idx, Orientation::CounterClockwise),
+        top_forms(inv, &idx, Orientation::Clockwise),
+    ]
 }
 
 fn top_forms(
     inv: &TopologicalInvariant,
     idx: &Indexes,
-    pool: topo_parallel::Pool,
     orientation: Orientation,
 ) -> Vec<SubtreeForm> {
-    let swept = sweep_components(inv, idx, pool, orientation);
+    let swept = sweep_components(inv, idx, orientation);
     let exterior = inv.exterior_face();
     idx.children[exterior]
         .iter()

@@ -1,40 +1,27 @@
-//! In-tree scoped thread pool for the construction pipeline.
+//! In-tree scoped thread pool for per-instance fan-out.
 //!
 //! The build environment has no crates.io access, so this crate provides the
-//! small slice of rayon-style fan-out the pipeline actually needs, on
-//! [`std::thread::scope`] alone and entirely in safe Rust:
+//! one rayon-style primitive the system uses, on [`std::thread::scope`] alone
+//! and entirely in safe Rust: [`Pool::par_map_collect`], a per-item map with
+//! the output in item order, bit-identical to `items.iter().map(f).collect()`
+//! by construction.
 //!
-//! - [`Pool::par_chunks`] — split a slice into contiguous chunks, run a
-//!   closure per chunk on the pool, return the per-chunk results **in chunk
-//!   order**. Because chunks are contiguous and results are concatenated in
-//!   order, any caller that only concatenates (or order-insensitively merges)
-//!   per-chunk output sees a result independent of the chunk boundaries —
-//!   and therefore of the thread count.
-//! - [`Pool::par_map_collect`] — per-item map with the output in item order,
-//!   bit-identical to `items.iter().map(f).collect()` by construction.
-//! - [`Pool::par_chunks_mut`] — in-place per-chunk mutation (disjoint
-//!   `chunks_mut` slices, so element-local work like per-vertex sorting is
-//!   deterministic trivially).
-//! - [`Pool::scope`] — run a vector of heterogeneous-workload closures,
-//!   results in spawn order; [`Pool::join`] is the two-task special case.
+//! Its one caller is the store's batch ingest, which builds and canonicalises
+//! one whole instance per item. That is the only grain at which a fan-out
+//! measured faster than the sequential loop; construction and
+//! canonicalisation of a single instance are sequential.
 //!
 //! There is no work stealing and no persistent worker state: every call
-//! spawns scoped threads that pull chunk indices from one atomic counter and
-//! write results into per-index slots, so scheduling order can never leak
-//! into the output. The calling thread participates as a worker.
+//! spawns scoped threads that pull contiguous chunk indices from one atomic
+//! counter and write results into per-chunk slots, so scheduling order can
+//! never leak into the output. The calling thread participates as a worker.
 //!
 //! **Pool size.** [`Pool::global`] sizes itself from the `TOPO_THREADS`
 //! environment variable (read once), falling back to
 //! [`std::thread::available_parallelism`]; [`set_global_threads`] overrides
 //! it at runtime (used by the determinism test sweeps and by services that
-//! size the pool from their own config). At 1 thread every entry point runs
-//! the plain sequential loop on the calling thread — no spawns, guaranteed
-//! identical to not using the pool at all.
-//!
-//! **Nesting.** A task running on the pool that calls back into the pool
-//! runs sequentially (a thread-local in-pool flag): parallelism is applied
-//! at the outermost call site only, so e.g. a batch-ingest fan-out whose
-//! workers each build an arrangement does not oversubscribe the machine.
+//! size the pool from their own config). At 1 thread the map is the plain
+//! sequential loop on the calling thread — no spawns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -47,17 +34,6 @@ const MAX_THREADS: usize = 1024;
 /// Global pool size; `0` means "not yet initialised" (the first reader
 /// resolves `TOPO_THREADS` / available parallelism).
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// True while this thread is executing a pool task: nested pool calls
-    /// fall back to sequential execution instead of spawning again.
-    static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// A claimable chunk for [`Pool::par_chunks_mut`]: the chunk's start offset
-/// in the original slice plus the disjoint sub-slice itself, taken exactly
-/// once by whichever worker claims its index.
-type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
 
 fn clamp_threads(n: usize) -> usize {
     n.clamp(1, MAX_THREADS)
@@ -122,209 +98,41 @@ impl Pool {
         self.threads
     }
 
-    /// True if a call entered now would actually fan out (more than one
-    /// thread and not already inside a pool task).
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1 && !IN_POOL.with(|f| f.get())
-    }
-
-    /// Runs `task(0..n_tasks)` across the pool, caller thread included,
-    /// returning results indexed by task id. The scheduling order is
-    /// arbitrary; the output order is not.
-    fn run_indexed<R, F>(&self, n_tasks: usize, task: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if n_tasks == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(n_tasks);
-        if workers <= 1 || !self.is_parallel() {
-            return (0..n_tasks).map(task).collect();
-        }
-        let slots: Vec<Mutex<Option<R>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n_tasks {
-                break;
-            }
-            let result = task(i);
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-        };
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(|| {
-                    IN_POOL.with(|f| f.set(true));
-                    work();
-                    // Scoped worker threads die at scope exit; resetting the
-                    // flag is just hygiene for clarity.
-                    IN_POOL.with(|f| f.set(false));
-                });
-            }
-            // The caller is worker 0; mark it in-pool so tasks it runs do
-            // not recursively fan out, and restore the flag afterwards.
-            IN_POOL.with(|f| f.set(true));
-            work();
-            IN_POOL.with(|f| f.set(false));
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every task index was executed")
-            })
-            .collect()
-    }
-
-    /// Number of chunks to split `n` items into: enough for load balance
-    /// (4 per worker) but never below `min_chunk` items per chunk.
-    fn chunk_size(&self, n: usize, min_chunk: usize) -> usize {
-        let min_chunk = min_chunk.max(1);
-        let target_chunks = (self.threads * 4).max(1);
-        n.div_ceil(target_chunks).max(min_chunk)
-    }
-
-    /// Splits `items` into contiguous chunks of at least `min_chunk`
-    /// elements and runs `f(chunk_start_offset, chunk)` per chunk on the
-    /// pool. Results come back in chunk order, so concatenating them
-    /// reproduces the sequential iteration order exactly.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], min_chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let size = self.chunk_size(items.len(), min_chunk);
-        let n_chunks = items.len().div_ceil(size);
-        self.run_indexed(n_chunks, |i| {
-            let start = i * size;
-            let end = (start + size).min(items.len());
-            f(start, &items[start..end])
-        })
-    }
-
-    /// In-place variant of [`Pool::par_chunks`]: `f(chunk_start_offset,
-    /// chunk)` mutates disjoint contiguous sub-slices. Element-local work
-    /// (e.g. sorting each element of a `Vec<Vec<_>>`) is trivially
-    /// chunk-boundary independent.
-    pub fn par_chunks_mut<T, F>(&self, items: &mut [T], min_chunk: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        if items.is_empty() {
-            return;
-        }
-        let size = self.chunk_size(items.len(), min_chunk);
-        if self.threads <= 1 || !self.is_parallel() || items.len() <= size {
-            for (i, chunk) in items.chunks_mut(size).enumerate() {
-                f(i * size, chunk);
-            }
-            return;
-        }
-        let slots: Vec<ChunkSlot<'_, T>> = items
-            .chunks_mut(size)
-            .enumerate()
-            .map(|(i, chunk)| Mutex::new(Some((i * size, chunk))))
-            .collect();
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= slots.len() {
-                break;
-            }
-            let (offset, chunk) = slots[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each chunk is taken exactly once");
-            f(offset, chunk);
-        };
-        let workers = self.threads.min(slots.len());
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(|| {
-                    IN_POOL.with(|flag| flag.set(true));
-                    work();
-                    IN_POOL.with(|flag| flag.set(false));
-                });
-            }
-            IN_POOL.with(|flag| flag.set(true));
-            work();
-            IN_POOL.with(|flag| flag.set(false));
-        });
-    }
-
     /// Parallel map with the output in item order: bit-identical to
-    /// `items.iter().map(f).collect()`.
+    /// `items.iter().map(f).collect()`. Items are split into contiguous
+    /// chunks (about 4 per worker, for load balance) and the per-chunk
+    /// outputs are concatenated in chunk order.
     pub fn par_map_collect<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let per_chunk =
-            self.par_chunks(items, 1, |_, chunk| chunk.iter().map(&f).collect::<Vec<R>>());
+        let size = items.len().div_ceil(self.threads * 4).max(1);
+        let chunks: Vec<&[T]> = items.chunks(size).collect();
+        let workers = self.threads.min(chunks.len());
+        if workers <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let slots: Vec<Mutex<Vec<R>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = chunks.get(i) else { break };
+            let out: Vec<R> = chunk.iter().map(&f).collect();
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = out;
+        };
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
+        });
         let mut out = Vec::with_capacity(items.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
+        for slot in slots {
+            out.extend(slot.into_inner().unwrap_or_else(|e| e.into_inner()));
         }
         out
-    }
-
-    /// Runs a vector of independent closures on the pool; results in spawn
-    /// order. For workloads where per-task cost varies wildly (e.g. one
-    /// giant component and many small ones) the atomic hand-out keeps every
-    /// worker busy until the queue drains.
-    pub fn scope<R, F>(&self, tasks: Vec<F>) -> Vec<R>
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
-        let cells: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.run_indexed(cells.len(), |i| {
-            let task = cells[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each task runs exactly once");
-            task()
-        })
-    }
-
-    /// Runs two closures, in parallel when the pool allows it, returning
-    /// both results.
-    pub fn join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        if !self.is_parallel() {
-            return (fa(), fb());
-        }
-        let mut a = None;
-        let mut b = None;
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                IN_POOL.with(|f| f.set(true));
-                let r = fb();
-                IN_POOL.with(|f| f.set(false));
-                r
-            });
-            IN_POOL.with(|f| f.set(true));
-            a = Some(fa());
-            IN_POOL.with(|f| f.set(false));
-            b = Some(handle.join().expect("join task panicked"));
-        });
-        (a.expect("ran"), b.expect("joined"))
     }
 }
 
@@ -351,90 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_concatenation_is_boundary_independent() {
-        let items: Vec<u32> = (0..5_000).collect();
-        let expect: Vec<u32> = items.iter().map(|x| x ^ 0xdead).collect();
-        for pool in pools() {
-            let per_chunk =
-                pool.par_chunks(&items, 7, |_, c| c.iter().map(|x| x ^ 0xdead).collect::<Vec<_>>());
-            let flat: Vec<u32> = per_chunk.into_iter().flatten().collect();
-            assert_eq!(flat, expect);
-        }
-    }
-
-    #[test]
-    fn par_chunks_offsets_address_the_original_slice() {
-        let items: Vec<usize> = (0..999).collect();
-        for pool in pools() {
-            let ok = pool.par_chunks(&items, 10, |offset, chunk| {
-                chunk.iter().enumerate().all(|(i, &v)| v == offset + i)
-            });
-            assert!(ok.into_iter().all(|b| b));
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_matches_sequential_mutation() {
-        let base: Vec<i64> = (0..4_321).map(|x| x * 3 - 500).collect();
-        let mut expect = base.clone();
-        for v in &mut expect {
-            *v = v.wrapping_mul(7) + 11;
-        }
-        for pool in pools() {
-            let mut got = base.clone();
-            pool.par_chunks_mut(&mut got, 5, |_, chunk| {
-                for v in chunk {
-                    *v = v.wrapping_mul(7) + 11;
-                }
-            });
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn scope_results_in_spawn_order() {
-        for pool in pools() {
-            let tasks: Vec<_> = (0..37).map(|i| move || i * 10).collect();
-            let got = pool.scope(tasks);
-            let expect: Vec<_> = (0..37).map(|i| i * 10).collect();
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        for pool in pools() {
-            let (a, b) = pool.join(|| "left".to_string(), || 42);
-            assert_eq!(a, "left");
-            assert_eq!(b, 42);
-        }
-    }
-
-    #[test]
-    fn nested_calls_run_sequentially_without_deadlock() {
-        let pool = Pool::with_threads(4);
-        let outer: Vec<usize> = (0..16).collect();
-        let got = pool.par_map_collect(&outer, |&i| {
-            // A nested call from inside a pool task must not fan out again;
-            // it must still produce the right answer.
-            let inner: Vec<usize> = (0..100).collect();
-            let inner_sum: usize = pool.par_map_collect(&inner, |&x| x + i).iter().sum();
-            inner_sum
-        });
-        let expect: Vec<usize> = (0..16).map(|i| (0..100).map(|x| x + i).sum()).collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn empty_inputs() {
         let pool = Pool::with_threads(8);
         let empty: Vec<u8> = Vec::new();
         assert!(pool.par_map_collect(&empty, |x| *x).is_empty());
-        assert!(pool.par_chunks(&empty, 4, |_, c| c.len()).is_empty());
-        let mut empty_mut: Vec<u8> = Vec::new();
-        pool.par_chunks_mut(&mut empty_mut, 4, |_, _| {});
-        let no_tasks: Vec<fn() -> u8> = Vec::new();
-        assert!(pool.scope(no_tasks).is_empty());
     }
 
     #[test]

@@ -243,11 +243,13 @@ impl StorageBackend for MemoryBackend {
 }
 
 /// A real-file [`StorageBackend`]: `snapshot.bin` and `wal.bin` inside one
-/// directory. Snapshot replacement is write-to-temp + rename (atomic on
-/// POSIX); WAL appends open the file in append mode per call, which keeps
+/// directory. Snapshot replacement is write-to-temp, file sync, rename
+/// (atomic on POSIX), then a sync of the directory so the rename itself
+/// survives an OS crash; WAL appends open the file in append mode per call, which keeps
 /// the backend stateless and crash-simple at the cost of an open per
 /// record — fine for this workload, and the bench stage measures it.
 pub struct FileBackend {
+    dir: PathBuf,
     snapshot_path: PathBuf,
     snapshot_tmp: PathBuf,
     wal_path: PathBuf,
@@ -262,6 +264,7 @@ impl FileBackend {
             snapshot_path: dir.join("snapshot.bin"),
             snapshot_tmp: dir.join("snapshot.tmp"),
             wal_path: dir.join("wal.bin"),
+            dir,
         })
     }
 }
@@ -281,7 +284,9 @@ impl StorageBackend for FileBackend {
             tmp.write_all(bytes)?;
             tmp.sync_all()?;
         }
-        fs::rename(&self.snapshot_tmp, &self.snapshot_path)
+        fs::rename(&self.snapshot_tmp, &self.snapshot_path)?;
+        // The rename is a change to the directory, not to either file.
+        fs::File::open(&self.dir)?.sync_all()
     }
 
     fn read_wal(&self) -> io::Result<Vec<u8>> {

@@ -3,7 +3,11 @@
 //! with a correct CRC-32, and handed to `InvariantStore::open`. The outcome
 //! must be `Ok` or `Err` — never a panic — and a store that opens must
 //! answer queries, report its classes, checkpoint and reopen without
-//! panicking either.
+//! panicking either. Every class representative of an opened store is also
+//! driven through every public accessor that walks the stored cells (cones,
+//! face boundaries, boundary walks, half-edge steps, the relational export):
+//! input that would make one of them panic must already be an `Err` from
+//! `TopologicalInvariant::from_parts`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -125,6 +129,26 @@ fn queries() -> Vec<TopologicalQuery> {
     ]
 }
 
+/// Runs every cell-walking accessor of a recovered invariant over every
+/// cell it applies to.
+fn exercise_accessors(inv: &TopologicalInvariant) {
+    for v in 0..inv.vertex_count() {
+        let _ = inv.cone(v);
+    }
+    for f in 0..inv.face_count() {
+        let _ = inv.face_edges(f);
+        let _ = inv.face_vertices(f);
+        let _ = inv.boundary_components(f);
+    }
+    for e in (0..inv.edge_count()).filter(|&e| inv.edge_endpoints(e).is_some()) {
+        for direction in [0, 1] {
+            let _ = inv.half_edge_left_face(e, direction);
+            let _ = inv.next_half_edge(e, direction);
+        }
+    }
+    let _ = inv.to_structure();
+}
+
 /// Opens a store over the given durable bytes; if it opens, drives it
 /// through reads, a checkpoint and a reopen. Returns whether it opened.
 fn open_and_exercise(snapshot: Vec<u8>, wal: Vec<u8>) -> bool {
@@ -138,6 +162,7 @@ fn open_and_exercise(snapshot: Vec<u8>, wal: Vec<u8>) -> bool {
     for class in 0..classes.len() + 2 {
         if let Some(rep) = store.class_representative(class) {
             let _ = rep.code_hash();
+            exercise_accessors(&rep);
         }
     }
     for id in 0..store.instance_count() + 3 {
