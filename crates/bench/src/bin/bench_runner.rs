@@ -1,43 +1,15 @@
 //! Machine-readable perf baseline runner.
 //!
-//! Measures the `geometry → arrangement → invariant` construction path stage
-//! by stage, the canonicalisation stage (`canonical_code`, cached re-reads,
-//! cached isomorphism checks, plus the giant-component sweep statistics
-//! behind the lazy Lemma 3.1 serialisation) *and* the datalog
-//! query-evaluation stage (the `topo_queries::programs` fixpoint programs on
-//! invariant exports, delta-driven engine vs the frozen naive engine) on the
-//! seeded cartographic workloads, each at three datagen scales, against the
-//! frozen pre-optimisation reference paths (`topo_core::top_naive`,
-//! `topo_core::canonical_code_naive`, `datalog::naive`), and writes the
-//! medians to a JSON file so every perf PR has a recorded trajectory to
-//! beat. A fourth stage throws the duplicate-heavy store mix at the
-//! concurrent [`InvariantStore`] from scoped threads — multi-threaded
-//! ingest throughput, then the same query sweep against a memoising store
-//! and the memo-disabled baseline. A fifth stage measures the durability
-//! layer: WAL-logged ingest, WAL replay, snapshot write/load, and mixed
-//! snapshot+WAL recovery at three workload sizes. A sixth stage sweeps the
-//! in-tree thread pool (`topo-parallel`) over pool sizes 1/2/4/8 on the
-//! batched store ingest — the only fan-out left, one instance per task —
-//! recording the speedup-vs-threads curve (and the host's core count, so a
-//! single-core CI run is honest about what it could measure). A seventh
-//! stage — `demand` — measures the goal-directed path introduced with the
-//! magic-set rewrite: the library's linear connectivity program under
-//! `run_goal` vs plain bottom-up `run`, against the retired quadratic
-//! connectivity program (semi-naive and the frozen naive oracle), plus a
-//! bound-goal single-source reachability demo where the rewrite's demand
-//! restriction is asymptotic, not constant-factor. An eighth stage —
-//! `incremental` — measures single-region edit latency through the
-//! incremental maintenance layer (`MaintainedInvariant`: remove a region,
-//! read the repaired canonical hash, re-insert it, read again) against the
-//! same state sequence as two cold `top(I)` rebuilds, on each cartographic
-//! workload at two scales.
-//! `BENCH_10.json` at the repository root is the committed baseline
-//! (`BENCH_9.json`/`BENCH_8.json`/`BENCH_7.json`/`BENCH_6.json`/
-//! `BENCH_5.json`/`BENCH_4.json`/`BENCH_3.json`/`BENCH_2.json` record the
-//! earlier trajectory; BENCHMARKS.md tabulates it); see DESIGN.md,
-//! "Performance", "Canonicalisation", "Datalog engine", "Demand-driven
-//! evaluation", "Invariant store", "Durability & degradation",
-//! "Parallelism" and "Incremental maintenance".
+//! Runs the stages in [`STAGES`] (construction and canonicalisation, datalog,
+//! demand, store, recovery, parallel, incremental; each documented on its
+//! stage function) on the seeded cartographic workloads, against the frozen
+//! reference paths where they exist, and writes every median with the
+//! sample count behind it to one JSON record, so every perf PR has a
+//! recorded trajectory to beat.
+//!
+//! `BENCH_10.json` at the repository root is the committed baseline;
+//! `BENCH_2.json`…`BENCH_9.json` record the earlier trajectory and
+//! BENCHMARKS.md tabulates it. See DESIGN.md for what each stage measures.
 //!
 //! ```text
 //! bench_runner [--quick] [--stage NAME]... [--out PATH]
@@ -46,13 +18,10 @@
 //! `--quick` drops the sample count and skips the reference canonicalisation
 //! on the scales where it is intractable (for CI smoke coverage); the default
 //! sample count matches the committed baseline. `--stage` (repeatable)
-//! restricts the run to the named stages — `construction`, `datalog`,
-//! `demand`, `store`, `recovery`, `parallel`, `incremental` — and the JSON
-//! records which
-//! stages were actually run, so a filtered record is honest about what it
-//! holds. Every median in the JSON is accompanied by the sample count
-//! actually used for it, so quick-mode records are honest about how little
-//! they measured. Requires the `naive-reference` feature:
+//! restricts the run to the named stages, and the record's `stages_run`
+//! lists the stages it holds. Any other argument, or a flag without its
+//! value, exits 2 with the usage line. Requires the `naive-reference`
+//! feature:
 //!
 //! ```text
 //! cargo run --release -p topo-bench --features naive-reference \
@@ -61,14 +30,14 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use topo_bench::{median_ns, median_ns_with};
+use topo_bench::{json_obj, median_ns, median_ns_with, Json};
 use topo_core::relational::datalog::naive as datalog_naive;
 use topo_core::relational::Term;
 use topo_core::spatial::transform::AffineMap;
 use topo_core::{
     datalog_program, program_structure, quadratic_connectivity_program, Goal, InvariantStore,
     MaintainedInvariant, MemoryBackend, Region, Semantics, SpatialInstance, StoreConfig,
-    TopologicalInvariant, TopologicalQuery,
+    SweepStats, TopologicalInvariant, TopologicalQuery,
 };
 use topo_datagen::{figure1, ign_city, nested_rings, sequoia_hydro, sequoia_landcover, Scale};
 
@@ -107,6 +76,14 @@ const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// rebuilds are cheap (the honest case for incremental repair) and a medium
 /// grid where they are not.
 const INCREMENTAL_GRIDS: [usize; 2] = [4, 16];
+/// A seeded cartographic generator, by grid size.
+type Generator = fn(usize) -> SpatialInstance;
+/// The seeded cartographic workloads every per-workload stage runs on.
+const WORKLOADS: [(&str, Generator); 3] = [
+    ("sequoia_landcover", |grid| sequoia_landcover(Scale { grid }, SEED)),
+    ("sequoia_hydro", |grid| sequoia_hydro(Scale { grid }, SEED)),
+    ("ign_city", |grid| ign_city(Scale { grid }, SEED)),
+];
 
 struct ScaleReport {
     grid: usize,
@@ -115,21 +92,9 @@ struct ScaleReport {
     stages: Vec<(&'static str, u128)>,
     naive_arrangement_ns: u128,
     naive_top_ns: u128,
-    /// First `canonical_code()` call on a fresh invariant (cache cold).
-    canonical_first_ns: u128,
-    /// Re-reading the code from the cache (per call; fractional because a
-    /// cache hit costs under a nanosecond).
-    canonical_cached_ns: f64,
-    /// `is_isomorphic_to` between two warmed invariants (per call).
-    iso_cached_ns: f64,
-    /// The frozen reference canonicalisation, when tractable at this scale.
-    naive_canonical_ns: Option<u128>,
+    canonical: CanonicalReport,
     /// Samples actually used for the construction stages at this scale.
     stage_samples: usize,
-    /// Samples actually used for the cold canonical median (≤ `samples`).
-    canonical_samples: usize,
-    /// Samples actually used for the reference canonical median.
-    naive_canonical_samples: Option<usize>,
     /// Giant-component sweep statistics: skeleton cells of the largest
     /// component, its Lemma 3.1 start choices, and the choices surviving the
     /// refined start filter (each survivor streams until its first losing
@@ -151,18 +116,58 @@ impl ScaleReport {
     }
 
     fn canonical_speedup(&self) -> Option<f64> {
-        self.naive_canonical_ns.map(|n| n as f64 / self.canonical_first_ns as f64)
+        self.canonical.naive_ns.map(|n| n as f64 / self.canonical.first_ns as f64)
+    }
+
+    fn to_json(&self) -> Json {
+        let (canonical, giant) = (&self.canonical, &self.giant);
+        json_obj! {
+            "grid" => self.grid,
+            "cells" => self.cells,
+            "stages_median_ns" => Json::obj(self.stages.iter().map(|&(s, ns)| (s, ns.into()))),
+            "canonical_median_ns" => json_obj! {
+                "first" => canonical.first_ns,
+                "cached" => canonical.cached_ns,
+                "iso_cached" => canonical.iso_ns,
+            },
+            "giant_component" => json_obj! {
+                "skeleton_cells" => giant.giant_skeleton_cells,
+                "choices" => giant.giant_choices,
+                "surviving_choices" => giant.giant_surviving_choices,
+            },
+            "samples_used" => json_obj! {
+                "stages" => self.stage_samples,
+                "canonical_first" => canonical.cold_samples,
+                "naive_canonical" => canonical.naive_samples,
+            },
+            "naive_median_ns" => json_obj! {
+                "arrangement" => self.naive_arrangement_ns,
+                "top" => self.naive_top_ns,
+                "canonical" => canonical.naive_ns,
+            },
+            "speedup" => json_obj! {
+                "arrangement" => self.arrangement_speedup(),
+                "top" => self.top_speedup(),
+                "canonical" => self.canonical_speedup(),
+            },
+        }
     }
 }
 
-/// Per-scale canonicalisation measurements (cold, cached, warmed isomorphism,
-/// reference path) plus the sample counts actually used.
+/// Per-scale canonicalisation measurements plus the sample counts actually
+/// used.
 struct CanonicalReport {
+    /// First `canonical_code()` call on a fresh invariant (cache cold).
     first_ns: u128,
+    /// Re-reading the code from the cache (per call; fractional because a
+    /// cache hit costs under a nanosecond).
     cached_ns: f64,
+    /// `is_isomorphic_to` between two warmed invariants (per call).
     iso_ns: f64,
+    /// The frozen reference canonicalisation, when tractable at this scale.
     naive_ns: Option<u128>,
-    samples: usize,
+    /// Samples actually used for the cold median (≤ the stage samples).
+    cold_samples: usize,
     naive_samples: Option<usize>,
 }
 
@@ -175,9 +180,9 @@ fn measure_canonical(
 ) -> CanonicalReport {
     // Cold canonicalisation: a fresh invariant per sample (construction is
     // untimed setup; the canonicalisation itself dominates anyway).
-    let canonical_samples = samples.min(5);
-    let canonical_first_ns = median_ns_with(
-        canonical_samples,
+    let cold_samples = samples.min(5);
+    let first_ns = median_ns_with(
+        cold_samples,
         || topo_core::top(instance),
         |invariant| {
             invariant.canonical_code();
@@ -190,13 +195,13 @@ fn measure_canonical(
     let warm_b = topo_core::top(instance);
     warm_a.canonical_code();
     warm_b.canonical_code();
-    let canonical_cached_ns = median_ns(samples, || {
+    let cached_ns = median_ns(samples, || {
         for _ in 0..CACHED_REPS {
             std::hint::black_box(std::hint::black_box(&warm_a).canonical_code());
         }
     }) as f64
         / CACHED_REPS as f64;
-    let iso_cached_ns = median_ns(samples, || {
+    let iso_ns = median_ns(samples, || {
         for _ in 0..CACHED_REPS {
             std::hint::black_box(std::hint::black_box(&warm_a).is_isomorphic_to(&warm_b));
         }
@@ -208,16 +213,8 @@ fn measure_canonical(
     let cell_limit = if quick { 1100 } else { NAIVE_CANONICAL_CELL_LIMIT };
     let naive_samples =
         (cells <= cell_limit).then(|| if cells <= 500 { samples.min(3) } else { 1 });
-    let naive_canonical_ns =
-        naive_samples.map(|n| median_ns(n, || topo_core::canonical_code_naive(&warm_a)));
-    CanonicalReport {
-        first_ns: canonical_first_ns,
-        cached_ns: canonical_cached_ns,
-        iso_ns: iso_cached_ns,
-        naive_ns: naive_canonical_ns,
-        samples: canonical_samples,
-        naive_samples,
-    }
+    let naive_ns = naive_samples.map(|n| median_ns(n, || topo_core::canonical_code_naive(&warm_a)));
+    CanonicalReport { first_ns, cached_ns, iso_ns, naive_ns, cold_samples, naive_samples }
 }
 
 fn measure_scale(
@@ -259,8 +256,6 @@ fn measure_scale(
     // end-to-end run just to read the cell count and sweep statistics.
     let frozen = TopologicalInvariant::from_complex(&complex, instance.schema().clone());
     let cells = frozen.cell_count();
-    let giant = topo_core::sweep_stats(&frozen);
-    let canonical = measure_canonical(instance, cells, samples, quick);
     ScaleReport {
         grid,
         cells,
@@ -273,14 +268,9 @@ fn measure_scale(
         ],
         naive_arrangement_ns,
         naive_top_ns,
-        canonical_first_ns: canonical.first_ns,
-        canonical_cached_ns: canonical.cached_ns,
-        iso_cached_ns: canonical.iso_ns,
-        naive_canonical_ns: canonical.naive_ns,
+        canonical: measure_canonical(instance, cells, samples, quick),
         stage_samples: samples,
-        canonical_samples: canonical.samples,
-        naive_canonical_samples: canonical.naive_samples,
-        giant,
+        giant: topo_core::sweep_stats(&frozen),
     }
 }
 
@@ -289,13 +279,25 @@ struct DatalogProgramReport {
     name: &'static str,
     semi_ns: u128,
     naive_ns: Option<u128>,
-    semi_samples: usize,
+    samples: usize,
     naive_samples: Option<usize>,
 }
 
 impl DatalogProgramReport {
     fn speedup(&self) -> Option<f64> {
         self.naive_ns.map(|n| n as f64 / self.semi_ns as f64)
+    }
+
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "semi_ns" => self.semi_ns,
+            "naive_ns" => self.naive_ns,
+            "speedup" => self.speedup(),
+            "samples_used" => json_obj! {
+                "semi" => self.samples,
+                "naive" => self.naive_samples,
+            },
+        }
     }
 }
 
@@ -304,6 +306,41 @@ struct DatalogScaleReport {
     grid: usize,
     cells: usize,
     programs: Vec<DatalogProgramReport>,
+}
+
+impl DatalogScaleReport {
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "grid" => self.grid,
+            "cells" => self.cells,
+            "programs" => Json::obj(self.programs.iter().map(|p| (p.name, p.to_json()))),
+        }
+    }
+}
+
+/// Times the frozen naive datalog engine under a time budget: nothing once
+/// an earlier scale of the same series went over it; otherwise one probe run
+/// decides how many samples the reference can afford, and a slow probe
+/// stands alone as a 1-sample median. Returns (median, samples used).
+fn measure_naive<T>(
+    samples: usize,
+    quick: bool,
+    over_budget: &mut bool,
+    mut run: impl FnMut() -> T,
+) -> (Option<u128>, Option<usize>) {
+    if *over_budget {
+        return (None, None);
+    }
+    let probe = median_ns(1, &mut run);
+    let (ns, used) = if probe <= 100_000_000 {
+        let extra = samples.min(3);
+        (median_ns(extra, run), extra)
+    } else {
+        (probe, 1)
+    };
+    let budget = if quick { NAIVE_DATALOG_BUDGET_QUICK_NS } else { NAIVE_DATALOG_BUDGET_NS };
+    *over_budget = ns > budget;
+    (Some(ns), Some(used))
 }
 
 /// Measures the `topo_queries::programs` fixpoint programs (stratified — the
@@ -315,12 +352,7 @@ struct DatalogScaleReport {
 /// budget-crossing scale itself is still recorded. (Since the library's
 /// connectivity program became linear-size, the naive budget mostly matters
 /// for the quadratic reference program measured by the demand stage.)
-fn measure_datalog(
-    gen: &dyn Fn(usize) -> SpatialInstance,
-    samples: usize,
-    quick: bool,
-) -> Vec<DatalogScaleReport> {
-    let budget = if quick { NAIVE_DATALOG_BUDGET_QUICK_NS } else { NAIVE_DATALOG_BUDGET_NS };
+fn measure_datalog(gen: Generator, samples: usize, quick: bool) -> Vec<DatalogScaleReport> {
     let queries: [(&'static str, TopologicalQuery); 2] = [
         ("is_connected", TopologicalQuery::IsConnected(0)),
         ("has_hole", TopologicalQuery::HasHole(0)),
@@ -336,42 +368,11 @@ fn measure_datalog(
             let program = datalog_program(query, instance.schema()).expect("program available");
             let semi_ns =
                 median_ns(samples, || program.run(&structure, Semantics::Stratified, usize::MAX));
-            let (naive_ns, naive_samples) = if over_budget[p] {
-                (None, None)
-            } else {
-                // One probe run decides how many samples the reference can
-                // afford; slow probes stand alone as a 1-sample median.
-                let probe = median_ns(1, || {
+            let (naive_ns, naive_samples) =
+                measure_naive(samples, quick, &mut over_budget[p], || {
                     datalog_naive::run(&program, &structure, Semantics::Stratified, usize::MAX)
                 });
-                let (ns, used) = if probe <= 100_000_000 {
-                    let extra = samples.min(3);
-                    (
-                        median_ns(extra, || {
-                            datalog_naive::run(
-                                &program,
-                                &structure,
-                                Semantics::Stratified,
-                                usize::MAX,
-                            )
-                        }),
-                        extra,
-                    )
-                } else {
-                    (probe, 1)
-                };
-                if ns > budget {
-                    over_budget[p] = true;
-                }
-                (Some(ns), Some(used))
-            };
-            programs.push(DatalogProgramReport {
-                name,
-                semi_ns,
-                naive_ns,
-                semi_samples: samples,
-                naive_samples,
-            });
+            programs.push(DatalogProgramReport { name, semi_ns, naive_ns, samples, naive_samples });
         }
         out.push(DatalogScaleReport { grid, cells: invariant.cell_count(), programs });
     }
@@ -384,24 +385,53 @@ struct StoreReport {
     instances: usize,
     classes: usize,
     bases: usize,
-    ingest_threads: usize,
-    query_threads: usize,
     ingest_ns: u128,
-    ingest_per_sec: f64,
     /// Queries issued per sweep (threads × rounds × instances × mix size).
-    queries: u64,
+    queries: usize,
+    /// The first sweep on the memoising store, which fills the memo.
     memo_ns: u128,
-    memo_qps: f64,
+    /// A second sweep on the same store: every answer is a hit.
+    memo_warm_ns: u128,
+    /// Hit rate after the first sweep.
     memo_hit_rate: f64,
     nomemo_ns: u128,
-    nomemo_qps: f64,
     dedup_hits: u64,
 }
 
 impl StoreReport {
-    fn memo_speedup(&self) -> f64 {
-        self.memo_qps / self.nomemo_qps
+    fn qps(&self, sweep_ns: u128) -> f64 {
+        per_sec(self.queries, sweep_ns)
     }
+
+    fn memo_speedup(&self) -> f64 {
+        self.qps(self.memo_ns) / self.qps(self.nomemo_ns)
+    }
+
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "instances" => self.instances,
+            "bases" => self.bases,
+            "classes" => self.classes,
+            "dedup_hits" => self.dedup_hits,
+            "ingest_threads" => STORE_INGEST_THREADS,
+            "query_threads" => STORE_QUERY_THREADS,
+            "ingest_ns" => self.ingest_ns,
+            "ingest_instances_per_sec" => per_sec(self.instances, self.ingest_ns),
+            "queries_per_sweep" => self.queries,
+            "memo_sweep_ns" => self.memo_ns,
+            "memo_queries_per_sec" => self.qps(self.memo_ns),
+            "memo_warm_sweep_ns" => self.memo_warm_ns,
+            "memo_warm_queries_per_sec" => self.qps(self.memo_warm_ns),
+            "memo_hit_rate" => self.memo_hit_rate,
+            "nomemo_sweep_ns" => self.nomemo_ns,
+            "nomemo_queries_per_sec" => self.qps(self.nomemo_ns),
+            "memo_speedup" => self.memo_speedup(),
+        }
+    }
+}
+
+fn per_sec(count: usize, ns: u128) -> f64 {
+    count as f64 / (ns as f64 / 1e9)
 }
 
 /// The store mix: the three cartographic generators over two seeds and three
@@ -423,20 +453,47 @@ fn store_workload(quick: bool) -> (usize, Vec<SpatialInstance>) {
     bases.push(figure1());
     bases.push(nested_rings(3, 2));
     bases.push(nested_rings(2, 3));
+    (bases.len(), homeomorphic_copies(&bases, copies, (130_001, 70_003), 4))
+}
+
+/// `copies` homeomorphic images of every base, copy-major: copy `k` is
+/// translated by `(k × step.0, −k × step.1)`, then mapped round-robin by the
+/// first `variants` of identity, rotation, reflection and rotation ∘
+/// reflection.
+fn homeomorphic_copies(
+    bases: &[SpatialInstance],
+    copies: usize,
+    step: (i64, i64),
+    variants: i64,
+) -> Vec<SpatialInstance> {
     let mut out = Vec::with_capacity(bases.len() * copies);
-    for k in 0..copies {
-        let shift = AffineMap::translation(k as i64 * 130_001, -(k as i64) * 70_003);
-        let map = match k % 4 {
+    for k in 0..copies as i64 {
+        let shift = AffineMap::translation(k * step.0, -k * step.1);
+        let map = match k % variants {
             1 => AffineMap::rotation90().compose(&shift),
             2 => AffineMap::reflection_x().compose(&shift),
             3 => AffineMap::rotation90().compose(&AffineMap::reflection_x()).compose(&shift),
             _ => shift,
         };
-        for base in &bases {
-            out.push(map.apply_instance(base));
-        }
+        out.extend(bases.iter().map(|base| map.apply_instance(base)));
     }
-    (bases.len(), out)
+    out
+}
+
+/// Ingests `instances` split across [`STORE_INGEST_THREADS`] scoped threads;
+/// returns the elapsed nanoseconds.
+fn ingest_concurrently(store: &InvariantStore, instances: &[SpatialInstance]) -> u128 {
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for slice in instances.chunks(instances.len().div_ceil(STORE_INGEST_THREADS)) {
+            s.spawn(move || {
+                for instance in slice {
+                    store.ingest(instance);
+                }
+            });
+        }
+    });
+    start.elapsed().as_nanos()
 }
 
 /// One timed sweep: every query thread walks every (instance, query) pair
@@ -465,65 +522,37 @@ fn store_query_sweep(
     start.elapsed().as_nanos()
 }
 
-/// Measures the store stage: multi-threaded ingest throughput (the full
-/// `top(I)` + canonicalisation + content-addressing pipeline per instance),
-/// then the same query sweep against a memoising store and the
-/// memo-disabled baseline — the speedup is what class-level memoisation
-/// buys on a duplicate-heavy mix.
+/// Measures the store stage. Ingest runs the full `top(I)` +
+/// canonicalisation + content-addressing pipeline per instance; the
+/// first-touch memo sweep fills the memo and the warm one only hits it.
 fn measure_store(quick: bool) -> StoreReport {
     let (bases, instances) = store_workload(quick);
     let queries = topo_bench::strategy_queries();
     let rounds = if quick { STORE_QUERY_ROUNDS_QUICK } else { STORE_QUERY_ROUNDS };
 
     let store = InvariantStore::default();
-    let chunk = instances.len().div_ceil(STORE_INGEST_THREADS);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for slice in instances.chunks(chunk) {
-            let store = &store;
-            s.spawn(move || {
-                for instance in slice {
-                    store.ingest(instance);
-                }
-            });
-        }
-    });
-    let ingest_ns = start.elapsed().as_nanos();
+    let ingest_ns = ingest_concurrently(&store, &instances);
 
     let memo_ns = store_query_sweep(&store, instances.len(), &queries, rounds);
     let stats = store.stats();
+    let memo_warm_ns = store_query_sweep(&store, instances.len(), &queries, rounds);
 
     // The baseline store deduplicates identically but answers every query by
     // evaluating on the class representative (ingested untimed).
     let baseline = InvariantStore::new(StoreConfig::without_memo());
-    std::thread::scope(|s| {
-        for slice in instances.chunks(chunk) {
-            let baseline = &baseline;
-            s.spawn(move || {
-                for instance in slice {
-                    baseline.ingest(instance);
-                }
-            });
-        }
-    });
+    ingest_concurrently(&baseline, &instances);
     let nomemo_ns = store_query_sweep(&baseline, instances.len(), &queries, rounds);
 
-    let queries_per_sweep = (STORE_QUERY_THREADS * rounds * instances.len() * queries.len()) as u64;
-    let per_sec = |count: u64, ns: u128| count as f64 / (ns as f64 / 1e9);
     StoreReport {
         instances: instances.len(),
         classes: store.class_count(),
         bases,
-        ingest_threads: STORE_INGEST_THREADS,
-        query_threads: STORE_QUERY_THREADS,
         ingest_ns,
-        ingest_per_sec: per_sec(instances.len() as u64, ingest_ns),
-        queries: queries_per_sweep,
+        queries: STORE_QUERY_THREADS * rounds * instances.len() * queries.len(),
         memo_ns,
-        memo_qps: per_sec(queries_per_sweep, memo_ns),
+        memo_warm_ns,
         memo_hit_rate: stats.hit_rate(),
         nomemo_ns,
-        nomemo_qps: per_sec(queries_per_sweep, nomemo_ns),
         dedup_hits: stats.dedup_hits,
     }
 }
@@ -534,7 +563,7 @@ struct RecoveryReport {
     copies: usize,
     instances: usize,
     classes: usize,
-    wal_records: u64,
+    wal_records: usize,
     wal_bytes: usize,
     ingest_log_ns: u128,
     ingest_log_per_sec: f64,
@@ -545,6 +574,27 @@ struct RecoveryReport {
     snapshot_load_ns: u128,
     mixed_recover_ns: u128,
     samples: usize,
+}
+
+impl RecoveryReport {
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "copies" => self.copies,
+            "instances" => self.instances,
+            "classes" => self.classes,
+            "wal_records" => self.wal_records,
+            "wal_bytes" => self.wal_bytes,
+            "ingest_log_ns" => self.ingest_log_ns,
+            "ingest_log_per_sec" => self.ingest_log_per_sec,
+            "wal_replay_ns" => self.wal_replay_ns,
+            "wal_replay_records_per_sec" => self.wal_replay_records_per_sec,
+            "snapshot_write_ns" => self.snapshot_write_ns,
+            "snapshot_bytes" => self.snapshot_bytes,
+            "snapshot_load_ns" => self.snapshot_load_ns,
+            "mixed_recover_ns" => self.mixed_recover_ns,
+            "samples" => self.samples,
+        }
+    }
 }
 
 /// A compact duplicate-heavy invariant pool for the durability stage: six
@@ -560,21 +610,15 @@ fn persist_workload(copies: usize) -> Vec<Arc<TopologicalInvariant>> {
         nested_rings(2, 2),
         nested_rings(3, 2),
     ];
-    let mut out = Vec::with_capacity(bases.len() * copies);
-    for k in 0..copies {
-        let shift = AffineMap::translation(k as i64 * 91_003, -(k as i64) * 47_057);
-        let map = match k % 3 {
-            1 => AffineMap::rotation90().compose(&shift),
-            2 => AffineMap::reflection_x().compose(&shift),
-            _ => shift,
-        };
-        for base in &bases {
-            let invariant = Arc::new(topo_core::top(&map.apply_instance(base)));
+    let copies = homeomorphic_copies(&bases, copies, (91_003, 47_057), 3);
+    copies
+        .iter()
+        .map(|instance| {
+            let invariant = Arc::new(topo_core::top(instance));
             invariant.canonical_code();
-            out.push(invariant);
-        }
-    }
-    out
+            invariant
+        })
+        .collect()
 }
 
 /// Measures the snapshot + WAL durability layer at three workload sizes:
@@ -601,12 +645,10 @@ fn measure_persist(quick: bool) -> Vec<RecoveryReport> {
             store.ingest_invariant(invariant.clone());
         }
         let ingest_log_ns = start.elapsed().as_nanos();
-        let mut removed = 0u64;
         for id in (0..invariants.len()).step_by(10) {
             store.remove_instance(id);
-            removed += 1;
         }
-        let wal_records = invariants.len() as u64 + removed;
+        let wal_records = invariants.len() + invariants.len().div_ceil(10);
         let wal_bytes = backend.wal_bytes().len();
 
         // WAL-only recovery: replay every record from an empty base state.
@@ -633,7 +675,6 @@ fn measure_persist(quick: bool) -> Vec<RecoveryReport> {
             InvariantStore::open(StoreConfig::default(), backend.clone()).expect("mixed recovery")
         });
 
-        let per_sec = |count: u64, ns: u128| count as f64 / (ns as f64 / 1e9);
         out.push(RecoveryReport {
             copies,
             instances: store.instance_count(),
@@ -641,7 +682,7 @@ fn measure_persist(quick: bool) -> Vec<RecoveryReport> {
             wal_records,
             wal_bytes,
             ingest_log_ns,
-            ingest_log_per_sec: per_sec(invariants.len() as u64, ingest_log_ns),
+            ingest_log_per_sec: per_sec(invariants.len(), ingest_log_ns),
             wal_replay_ns,
             wal_replay_records_per_sec: per_sec(wal_records, wal_replay_ns),
             snapshot_write_ns,
@@ -654,18 +695,36 @@ fn measure_persist(quick: bool) -> Vec<RecoveryReport> {
     out
 }
 
-/// The parallel stage at one pool size.
-struct ParallelReport {
-    threads: usize,
-    batch_ingest_ns: u128,
-}
-
 /// The whole parallel stage: the sweep plus the context needed to read it.
 struct ParallelStage {
     host_threads: usize,
     batch_size: usize,
     samples: usize,
-    sweep: Vec<ParallelReport>,
+    /// (pool size, batch ingest median ns).
+    sweep: Vec<(usize, u128)>,
+}
+
+impl ParallelStage {
+    /// Batch-ingest speedup of one sweep point over pool size 1.
+    fn speedup(&self, batch_ingest_ns: u128) -> f64 {
+        self.sweep[0].1 as f64 / batch_ingest_ns as f64
+    }
+
+    fn to_json(&self) -> Json {
+        let sweep = self.sweep.iter().map(|&(threads, ns)| {
+            json_obj! {
+                "threads" => threads,
+                "batch_ingest_ns" => ns,
+                "speedup_vs_1" => json_obj! { "batch_ingest" => self.speedup(ns) },
+            }
+        });
+        json_obj! {
+            "host_threads" => self.host_threads,
+            "batch_size" => self.batch_size,
+            "samples" => self.samples,
+            "sweep" => Json::arr(sweep),
+        }
+    }
 }
 
 /// Sweeps the in-tree thread pool over [`PARALLEL_THREADS`], timing the
@@ -681,13 +740,7 @@ fn measure_parallel(quick: bool) -> ParallelStage {
     // dominates and the dedup path is exercised.
     let small = Scale { grid: 4 };
     let bases = [sequoia_landcover(small, SEED), sequoia_hydro(small, SEED), ign_city(small, SEED)];
-    let mut batch: Vec<SpatialInstance> = Vec::new();
-    for k in 0..8usize {
-        let map = AffineMap::translation(k as i64 * 130_001, -(k as i64) * 70_003);
-        for base in &bases {
-            batch.push(map.apply_instance(base));
-        }
-    }
+    let batch = homeomorphic_copies(&bases, 8, (130_001, 70_003), 1);
 
     let previous = topo_core::parallel::global_threads();
     let mut sweep = Vec::new();
@@ -697,7 +750,7 @@ fn measure_parallel(quick: bool) -> ParallelStage {
             store.try_ingest_batch(&batch);
             store
         });
-        sweep.push(ParallelReport { threads, batch_ingest_ns });
+        sweep.push((threads, batch_ingest_ns));
     }
     topo_core::parallel::set_global_threads(previous);
 
@@ -718,6 +771,16 @@ struct ReachDemo {
 impl ReachDemo {
     fn speedup(&self) -> f64 {
         self.full_ns as f64 / self.goal_ns as f64
+    }
+
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "seed" => self.seed,
+            "answers" => self.answers,
+            "goal_ns" => self.goal_ns,
+            "full_ns" => self.full_ns,
+            "speedup" => self.speedup(),
+        }
     }
 }
 
@@ -752,6 +815,32 @@ impl DemandScaleReport {
     fn goal_vs_naive(&self) -> Option<f64> {
         self.naive_ns.map(|n| n as f64 / self.goal_ns as f64)
     }
+
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "grid" => self.grid,
+            "cells" => self.cells,
+            "library_linear" => json_obj! {
+                "goal_ns" => self.goal_ns,
+                "bottomup_ns" => self.bottomup_ns,
+                "samples" => self.samples,
+            },
+            "quadratic_reference" => json_obj! {
+                "semi_ns" => self.quadratic_ns,
+                "naive_ns" => self.naive_ns,
+                "samples_used" => json_obj! {
+                    "semi" => self.samples,
+                    "naive" => self.naive_samples,
+                },
+            },
+            "speedup" => json_obj! {
+                "goal_vs_quadratic" => self.goal_vs_quadratic(),
+                "goal_vs_bottomup" => self.goal_vs_bottomup(),
+                "goal_vs_naive" => self.goal_vs_naive(),
+            },
+            "reach_from_seed" => self.reach.as_ref().map(ReachDemo::to_json),
+        }
+    }
 }
 
 /// Measures the goal-directed demand path on each scale's prepared export:
@@ -763,12 +852,7 @@ impl DemandScaleReport {
 /// program for the bound goal `Reach(seed, y)` — single-source instead of
 /// all-pairs reachability — which is where the rewrite's restriction is
 /// asymptotic rather than constant-factor.
-fn measure_demand(
-    gen: &dyn Fn(usize) -> SpatialInstance,
-    samples: usize,
-    quick: bool,
-) -> Vec<DemandScaleReport> {
-    let budget = if quick { NAIVE_DATALOG_BUDGET_QUICK_NS } else { NAIVE_DATALOG_BUDGET_NS };
+fn measure_demand(gen: Generator, samples: usize, quick: bool) -> Vec<DemandScaleReport> {
     let mut naive_over_budget = false;
     let mut out = Vec::new();
     for &grid in &DATALOG_GRIDS {
@@ -786,33 +870,10 @@ fn measure_demand(
         let quadratic = quadratic_connectivity_program(instance.schema(), 0);
         let quadratic_ns =
             median_ns(samples, || quadratic.run(&structure, Semantics::Stratified, usize::MAX));
-        let (naive_ns, naive_samples) = if naive_over_budget {
-            (None, None)
-        } else {
-            let probe = median_ns(1, || {
+        let (naive_ns, naive_samples) =
+            measure_naive(samples, quick, &mut naive_over_budget, || {
                 datalog_naive::run(&quadratic, &structure, Semantics::Stratified, usize::MAX)
             });
-            let (ns, used) = if probe <= 100_000_000 {
-                let extra = samples.min(3);
-                (
-                    median_ns(extra, || {
-                        datalog_naive::run(
-                            &quadratic,
-                            &structure,
-                            Semantics::Stratified,
-                            usize::MAX,
-                        )
-                    }),
-                    extra,
-                )
-            } else {
-                (probe, 1)
-            };
-            if ns > budget {
-                naive_over_budget = true;
-            }
-            (Some(ns), Some(used))
-        };
         // Bound-goal demo: seed from the first derived Reach tuple (any cell
         // of the region), then Reach(seed, y) goal-directed vs the full
         // bottom-up run + answer lookup.
@@ -874,6 +935,26 @@ impl IncrementalScaleReport {
     fn speedup(&self) -> f64 {
         self.rebuild_ns as f64 / self.incremental_ns as f64
     }
+
+    fn to_json(&self) -> Json {
+        let stats = &self.stats;
+        json_obj! {
+            "grid" => self.grid,
+            "cells" => self.cells,
+            "regions" => self.regions,
+            "edit_round_trip_ns" => self.incremental_ns,
+            "rebuild_round_trip_ns" => self.rebuild_ns,
+            "speedup" => self.speedup(),
+            "samples_used" => self.samples,
+            "maintain_stats" => json_obj! {
+                "edits" => stats.edits,
+                "group_builds" => stats.group_builds,
+                "group_reuses" => stats.group_reuses,
+                "pair_computes" => stats.pair_computes,
+                "pair_reuses" => stats.pair_reuses,
+            },
+        }
+    }
 }
 
 /// Measures the incremental stage on one workload: per scale, a maintained
@@ -883,10 +964,7 @@ impl IncrementalScaleReport {
 /// warm-up pass per region runs untimed, so the medians report the caches'
 /// steady state — the regime maintenance exists for; the cold baseline has
 /// no corresponding cache to warm.
-fn measure_incremental(
-    gen: &dyn Fn(usize) -> SpatialInstance,
-    samples: usize,
-) -> Vec<IncrementalScaleReport> {
+fn measure_incremental(gen: Generator, samples: usize) -> Vec<IncrementalScaleReport> {
     let mut out = Vec::new();
     for &grid in &INCREMENTAL_GRIDS {
         let instance = gen(grid);
@@ -957,641 +1035,328 @@ fn measure_incremental(
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// A median that was not measured, as a console cell.
+fn ns_or_skipped(ns: Option<u128>) -> String {
+    ns.map_or("(skipped)".to_string(), |n| format!("{n} ns"))
 }
 
-/// Stage names accepted by `--stage`, in run order.
-const STAGE_NAMES: [&str; 7] =
-    ["construction", "datalog", "demand", "store", "recovery", "parallel", "incremental"];
+/// The mode every stage runs in.
+struct Mode {
+    quick: bool,
+    samples: usize,
+}
+
+/// Runs `measure` on each cartographic workload and collects the
+/// `[{"name", "scales"}]` array the per-workload sections share.
+fn per_workload(mut measure: impl FnMut(&str, Generator) -> Vec<Json>) -> Json {
+    Json::arr(WORKLOADS.iter().map(|(name, gen)| {
+        json_obj! { "name" => *name, "scales" => Json::Arr(measure(name, *gen)) }
+    }))
+}
+
+/// The `geometry → arrangement → invariant` path stage by stage, then
+/// canonicalisation (cold `canonical_code`, cached re-reads, cached
+/// isomorphism checks, giant-component sweep statistics), against the frozen
+/// `top_naive` / `canonical_code_naive` paths: one construction row per
+/// scale, then one canonicalisation row per workload/scale.
+fn construction_stage(mode: &Mode) -> Json {
+    let mut canonical_rows = Vec::new();
+    let workloads = per_workload(|name, gen| {
+        eprintln!("== {name} ==");
+        GRIDS
+            .iter()
+            .map(|&grid| {
+                let report = measure_scale(&gen(grid), grid, mode.samples, mode.quick);
+                let (cells, naive_top) = (report.cells, report.naive_top_ns);
+                eprintln!(
+                    "  grid {grid:>2}: cells {cells:>6}  top {:>12} ns  naive_top {naive_top:>12} \
+                     ns  speedup {:>5.2}x (arrangement {:>5.2}x)",
+                    report.stage("top"),
+                    report.top_speedup(),
+                    report.arrangement_speedup(),
+                );
+                let CanonicalReport { first_ns, cached_ns, iso_ns, naive_ns, .. } = report.canonical;
+                let SweepStats { giant_skeleton_cells, giant_choices, giant_surviving_choices, .. } =
+                    report.giant;
+                canonical_rows.push(format!(
+                    "  {name:<20} grid {grid:>2}  cells {cells:>6}  giant {giant_skeleton_cells:>6}  \
+                     choices {giant_choices:>6} -> {giant_surviving_choices:<4} cold {first_ns:>12} \
+                     ns  cached {cached_ns:>8.2} ns  iso {iso_ns:>8.2} ns  naive {}  speedup {}",
+                    ns_or_skipped(naive_ns),
+                    report.canonical_speedup().map_or("n/a".to_string(), |s| format!("{s:.0}x")),
+                ));
+                report.to_json()
+            })
+            .collect()
+    });
+    eprintln!("== cold canonical_code() per workload ==");
+    for row in canonical_rows {
+        eprintln!("{row}");
+    }
+    workloads
+}
+
+/// The datalog query-evaluation stage, at its own (smaller) scales: one row
+/// per workload/scale/program, semi-naive vs the frozen reference engine.
+fn datalog_stage(mode: &Mode) -> Json {
+    eprintln!("== datalog stage per workload ==");
+    let workloads = per_workload(|name, gen| {
+        let scales = measure_datalog(gen, mode.samples, mode.quick);
+        for DatalogScaleReport { grid, cells, programs } in &scales {
+            for program in programs {
+                eprintln!(
+                    "  {name:<20} grid {grid:>2}  cells {cells:>6}  {:<13} semi {:>12} ns  naive \
+                     {:>14}  speedup {}",
+                    program.name,
+                    program.semi_ns,
+                    ns_or_skipped(program.naive_ns),
+                    program.speedup().map_or("n/a".to_string(), |s| format!("{s:.1}x")),
+                );
+            }
+        }
+        scales.iter().map(DatalogScaleReport::to_json).collect()
+    });
+    json_obj! {
+        "semantics" => "stratified",
+        "grids" => Json::arr(DATALOG_GRIDS),
+        "workloads" => workloads,
+    }
+}
+
+/// The demand stage: the goal-directed path vs bottom-up, vs the retired
+/// quadratic program, plus the bound-goal reachability demo, one row (and
+/// one demo line) per workload/scale.
+fn demand_stage(mode: &Mode) -> Json {
+    eprintln!("== demand stage per workload ==");
+    let workloads = per_workload(|name, gen| {
+        let scales = measure_demand(gen, mode.samples, mode.quick);
+        for scale in &scales {
+            let DemandScaleReport { grid, cells, goal_ns, bottomup_ns, quadratic_ns, .. } = scale;
+            eprintln!(
+                "  {name:<20} grid {grid:>2}  cells {cells:>6}  goal {goal_ns:>12} ns  bottomup \
+                 {bottomup_ns:>12} ns  quadratic {quadratic_ns:>12} ns  naive {:>14}  \
+                 goal-vs-quadratic {:.1}x  goal-vs-bottomup {:.2}x",
+                ns_or_skipped(scale.naive_ns),
+                scale.goal_vs_quadratic(),
+                scale.goal_vs_bottomup(),
+            );
+            if let Some(reach @ ReachDemo { seed, answers, goal_ns, full_ns }) = &scale.reach {
+                eprintln!(
+                    "  {:<20} reach_from_seed {seed}: {answers} answers  goal {goal_ns:>12} ns  \
+                     full {full_ns:>12} ns  speedup {:.1}x",
+                    "",
+                    reach.speedup(),
+                );
+            }
+        }
+        scales.iter().map(DemandScaleReport::to_json).collect()
+    });
+    json_obj! {
+        "semantics" => "stratified",
+        "query" => "is_connected",
+        "grids" => Json::arr(DATALOG_GRIDS),
+        "workloads" => workloads,
+    }
+}
+
+/// The concurrent [`InvariantStore`] on a duplicate-heavy mix: ingest from
+/// scoped threads, then first-touch and warm query sweeps on the memoising
+/// store and one on the memo-disabled baseline.
+fn store_stage(mode: &Mode) -> Json {
+    eprintln!("== store stage ==");
+    let store = measure_store(mode.quick);
+    eprintln!(
+        "  ingest  {:>6} instances ({} bases, {} classes) on {} threads: {:>12} ns  \
+         ({:.0} instances/sec, {} dedup hits)",
+        store.instances,
+        store.bases,
+        store.classes,
+        STORE_INGEST_THREADS,
+        store.ingest_ns,
+        per_sec(store.instances, store.ingest_ns),
+        store.dedup_hits,
+    );
+    eprintln!(
+        "  query   {:>6} queries on {} threads: memo {:>12} ns ({:.0} q/s, hit rate {:.4})  \
+         warm {:>12} ns ({:.0} q/s)  no-memo {:>12} ns ({:.0} q/s)  memo speedup {:.1}x",
+        store.queries,
+        STORE_QUERY_THREADS,
+        store.memo_ns,
+        store.qps(store.memo_ns),
+        store.memo_hit_rate,
+        store.memo_warm_ns,
+        store.qps(store.memo_warm_ns),
+        store.nomemo_ns,
+        store.qps(store.nomemo_ns),
+        store.memo_speedup(),
+    );
+    store.to_json()
+}
+
+/// The durability stage: snapshot + WAL persistence over the in-memory
+/// backend, so the numbers isolate the encode/replay cost from disk I/O.
+fn recovery_stage(mode: &Mode) -> Json {
+    eprintln!("== recovery stage ==");
+    let recovery = measure_persist(mode.quick);
+    for r in &recovery {
+        eprintln!(
+            "  {:>5} instances ({} classes, {} wal records): ingest+log {:>11} ns \
+             ({:.0}/sec), replay {:>10} ns ({:.0} records/sec), snapshot write \
+             {:>9} ns ({} bytes), load {:>9} ns, mixed recover {:>10} ns",
+            r.instances,
+            r.classes,
+            r.wal_records,
+            r.ingest_log_ns,
+            r.ingest_log_per_sec,
+            r.wal_replay_ns,
+            r.wal_replay_records_per_sec,
+            r.snapshot_write_ns,
+            r.snapshot_bytes,
+            r.snapshot_load_ns,
+            r.mixed_recover_ns,
+        );
+    }
+    json_obj! { "scales" => Json::arr(recovery.iter().map(RecoveryReport::to_json)) }
+}
+
+/// The thread-pool sweep: speedup-vs-threads curve for the batched store
+/// ingest.
+fn parallel_stage(mode: &Mode) -> Json {
+    eprintln!("== parallel stage ==");
+    let parallel = measure_parallel(mode.quick);
+    let ParallelStage { batch_size, host_threads, .. } = parallel;
+    eprintln!("  batch of {batch_size} instances, host threads {host_threads}");
+    for &(threads, ns) in &parallel.sweep {
+        let speedup = parallel.speedup(ns);
+        eprintln!("  threads {threads:>2}: batch ingest {ns:>12} ns ({speedup:.2}x)");
+    }
+    parallel.to_json()
+}
+
+/// The incremental-maintenance stage: single-region edit latency through
+/// MaintainedInvariant vs cold rebuilds of the same states, one row per
+/// workload/scale.
+fn incremental_stage(mode: &Mode) -> Json {
+    eprintln!("== incremental stage per workload ==");
+    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workloads = per_workload(|name, gen| {
+        let scales = measure_incremental(gen, mode.samples);
+        for scale in &scales {
+            let IncrementalScaleReport { grid, cells, incremental_ns, rebuild_ns, stats, .. } =
+                scale;
+            eprintln!(
+                "  {name:<20} grid {grid:>2}  cells {cells:>6}  edit {incremental_ns:>12} ns  \
+                 rebuild {rebuild_ns:>12} ns  speedup {:>5.1}x  (groups rebuilt {} / reused {})",
+                scale.speedup(),
+                stats.group_builds,
+                stats.group_reuses,
+            );
+        }
+        scales.iter().map(IncrementalScaleReport::to_json).collect()
+    });
+    json_obj! {
+        "host_threads" => host_threads,
+        "grids" => Json::arr(INCREMENTAL_GRIDS),
+        "workloads" => workloads,
+    }
+}
+
+type Measure = fn(&Mode) -> Json;
+
+/// Every stage in run order: `--stage` name, key of its section in the
+/// record, and the measurement that prints its console rows and returns the
+/// section.
+const STAGES: [(&str, &str, Measure); 7] = [
+    ("construction", "workloads", construction_stage),
+    ("datalog", "datalog", datalog_stage),
+    ("demand", "demand", demand_stage),
+    ("store", "store", store_stage),
+    ("recovery", "recovery", recovery_stage),
+    ("parallel", "parallel", parallel_stage),
+    ("incremental", "incremental", incremental_stage),
+];
+
+const USAGE: &str = "usage: bench_runner [--quick] [--stage NAME]... [--out PATH]";
+
+fn stage_names() -> String {
+    STAGES.map(|(name, ..)| name).join(", ")
+}
+
+/// Reports a bad command line and exits 2 before any stage runs.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}\nstages: {}", stage_names());
+    std::process::exit(2);
+}
+
+/// Parses the command line into (quick, selected stage names, output path).
+fn parse_args() -> (bool, Vec<String>, Option<String>) {
+    let (mut quick, mut selected, mut out) = (false, Vec::new(), None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                eprintln!("{USAGE}\nstages: {}", stage_names());
+                std::process::exit(0);
+            }
+            "--quick" => quick = true,
+            "--stage" => match args.next() {
+                Some(name) if STAGES.iter().any(|(n, ..)| *n == name) => selected.push(name),
+                Some(name) => usage_error(&format!("unknown stage {name:?}")),
+                None => usage_error("--stage needs a name"),
+            },
+            "--out" => match args.next() {
+                Some(path) => out = Some(path),
+                None => usage_error("--out needs a path"),
+            },
+            other => usage_error(&format!("unknown argument {other:?}")),
+        }
+    }
+    (quick, selected, out)
+}
+
+const DESCRIPTION: &str = "per-stage medians (ns) and speedups vs the frozen reference paths \
+     (naive seed arrangement + slow-mode rational arithmetic; String canonical codes; the naive \
+     datalog evaluator; the retired quadratic connectivity program). canonical.first is \
+     a cold canonical_code() on a fresh invariant (the lazy streamed Lemma 3.1 sweep); cached/iso \
+     are per-call costs on warmed invariants; giant_component records the largest skeleton \
+     component and its start-choice pruning; datalog runs the query library's fixpoint programs \
+     (stratified) on program_structure exports, semi-naive vs datalog::naive; demand compares the \
+     linear connectivity program under run_goal (magic-set rewrite) with bottom-up run, both \
+     against the retired quadratic program, plus a bound-goal Reach(seed, y) demo; store ingests \
+     a duplicate-heavy mix from scoped threads, then times a first-touch and a warm query sweep \
+     on the memoising store and one sweep on the memo-disabled baseline (memo_speedup = memo_qps \
+     / nomemo_qps, first touch); recovery times WAL-logged ingest, WAL replay, snapshot \
+     write/load and mixed snapshot+WAL recovery on the in-memory backend at three sizes; parallel \
+     sweeps the batched store ingest over pool sizes 1/2/4/8, host_threads recording the cores it \
+     had; incremental times single-region remove/re-insert round trips through \
+     MaintainedInvariant on warmed caches vs two cold top(I) rebuilds, maintain_stats counting \
+     group rebuilds vs reuses. stages_run lists the stages this file holds (--stage filtering); \
+     samples objects record the samples used per median; null marks a reference path skipped as \
+     intractable";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: bench_runner [--quick] [--stage NAME]... [--out PATH]");
-        eprintln!("stages: {}", STAGE_NAMES.join(", "));
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut selected: Vec<&str> = Vec::new();
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--stage" {
-            match args.get(i + 1).map(String::as_str) {
-                Some(name) => match STAGE_NAMES.iter().find(|s| **s == name) {
-                    Some(stage) => selected.push(stage),
-                    None => {
-                        eprintln!("unknown stage {name:?}; stages: {}", STAGE_NAMES.join(", "));
-                        std::process::exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("--stage needs a name; stages: {}", STAGE_NAMES.join(", "));
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    let run_stage = |name: &str| selected.is_empty() || selected.contains(&name);
-    let stages_run: Vec<&str> = STAGE_NAMES.iter().copied().filter(|s| run_stage(s)).collect();
-    // Quick mode never overwrites the committed 15-sample baseline unless
-    // the caller passes `--out BENCH_9.json` explicitly.
-    let out_path = args
+    let (quick, selected, out) = parse_args();
+    let mode = Mode { quick, samples: if quick { QUICK_SAMPLES } else { FULL_SAMPLES } };
+    let stages: Vec<_> = STAGES
         .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if quick {
-                "BENCH_quick.json".to_string()
-            } else {
-                "BENCH_10.json".to_string()
-            }
-        });
-    let samples = if quick { QUICK_SAMPLES } else { FULL_SAMPLES };
-
-    type Workload = Box<dyn Fn(usize) -> SpatialInstance>;
-    let workloads: Vec<(&str, Workload)> = vec![
-        ("sequoia_landcover", Box::new(|grid| sequoia_landcover(Scale { grid }, SEED))),
-        ("sequoia_hydro", Box::new(|grid| sequoia_hydro(Scale { grid }, SEED))),
-        ("ign_city", Box::new(|grid| ign_city(Scale { grid }, SEED))),
+        .filter(|(name, ..)| selected.is_empty() || selected.iter().any(|s| s == name))
+        .collect();
+    let mut record = vec![
+        ("id", Json::from("BENCH_10")),
+        ("description", Json::from(DESCRIPTION)),
+        ("mode", Json::from(if quick { "quick" } else { "full" })),
+        ("samples", Json::from(mode.samples)),
+        ("cached_reps", Json::from(CACHED_REPS)),
+        ("datagen_seed", Json::from(SEED)),
+        ("stages_run", Json::arr(stages.iter().map(|(name, ..)| *name))),
     ];
-
-    // Each stage contributes one complete `"key": value` fragment to
-    // `sections`; joining them with commas keeps the JSON valid whichever
-    // subset of stages `--stage` selects.
-    let mut sections: Vec<String> = Vec::new();
-    let mut header = String::new();
-    header.push_str("  \"id\": \"BENCH_10\",\n");
-    header.push_str(
-        "  \"description\": \"top(I) construction, canonicalisation, datalog query \
-         evaluation, the goal-directed demand path and the concurrent invariant store: \
-         per-stage medians and speedups vs the frozen reference paths (naive seed \
-         arrangement + slow-mode rational arithmetic; PR 2 String canonical codes; pre-PR 5 \
-         naive datalog evaluator; the pre-PR 9 quadratic connectivity program). \
-         canonical.first is a cold canonical_code() on a fresh invariant (the lazy \
-         streamed Lemma 3.1 sweep); cached/iso are per-call costs on warmed invariants; \
-         giant_component records the largest skeleton component and its start-choice \
-         pruning; the datalog section runs the query library's fixpoint programs \
-         (stratified) on prepared invariant exports (program_structure = to_structure + \
-         successor scaffolding), semi-naive vs datalog::naive; the demand section compares \
-         the library's linear connectivity program under the magic-set goal-directed path \
-         (run_goal) with plain bottom-up evaluation, both against the retired quadratic \
-         connectivity program (semi-naive and the naive oracle), and times a bound-goal \
-         Reach(seed, y) rewrite where demand prunes derivation to one source's component; \
-         the store section ingests a duplicate-heavy mix into the InvariantStore from \
-         scoped threads and runs one query sweep against the memoising store and one \
-         against the memo-disabled baseline (speedup = memo_qps / nomemo_qps); the \
-         recovery section measures the snapshot + WAL durability layer on the in-memory \
-         backend at three workload sizes: WAL-logged ingest and replay throughput, \
-         snapshot write/load, and a mixed snapshot+WAL recovery; the parallel section \
-         sweeps the in-tree topo-parallel pool over 1/2/4/8 threads on the batched store \
-         ingest (one instance per pool task, the only fan-out), with host_threads \
-         recording how many cores the sweep actually had (on a single-core host the curve \
-         is honestly flat); the incremental section measures \
-         single-region edit latency through MaintainedInvariant — remove one region, read \
-         the repaired canonical hash, re-insert, read again, rotating over the regions — \
-         against the same state sequence as two cold top(I) rebuilds, on warmed maintenance \
-         caches (one untimed pass per region), with maintain_stats recording how many group \
-         invariants each measurement rebuilt vs reused; stages_run records which stages \
-         this file actually holds (--stage filtering); samples objects record the sample \
-         counts actually used per median; naive medians are null where the reference path \
-         is intractable\",\n",
-    );
-    header.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    header.push_str(&format!("  \"samples\": {samples},\n"));
-    header.push_str(&format!("  \"cached_reps\": {CACHED_REPS},\n"));
-    header.push_str(&format!("  \"datagen_seed\": {SEED},\n"));
-    header.push_str(&format!(
-        "  \"stages_run\": [{}]",
-        stages_run.iter().map(|s| format!("\"{s}\"")).collect::<Vec<_>>().join(", ")
-    ));
-    sections.push(header);
-
-    // (workload, grid, cells, cold canonical ns, giant stats) rows for the
-    // end-of-run summary that CI greps out of the log.
-    let mut summary: Vec<(String, usize, usize, u128, topo_core::SweepStats)> = Vec::new();
-    if run_stage("construction") {
-        let mut sec = String::new();
-        sec.push_str("  \"workloads\": [\n");
-        for (w, (name, gen)) in workloads.iter().enumerate() {
-            eprintln!("== {name} ==");
-            sec.push_str("    {\n");
-            sec.push_str(&format!("      \"name\": \"{}\",\n", json_escape(name)));
-            sec.push_str("      \"scales\": [\n");
-            for (g, &grid) in GRIDS.iter().enumerate() {
-                let instance = gen(grid);
-                let report = measure_scale(&instance, grid, samples, quick);
-                eprintln!(
-                    "  grid {:>2}: cells {:>6}  top {:>12} ns  naive_top {:>12} ns  speedup {:>5.2}x \
-                     (arrangement {:>5.2}x)",
-                    grid,
-                    report.cells,
-                    report.stage("top"),
-                    report.naive_top_ns,
-                    report.top_speedup(),
-                    report.arrangement_speedup(),
-                );
-                eprintln!(
-                    "           canonical {:>12} ns  cached {:>8.2} ns  iso {:>8.2} ns  naive {}  \
-                     speedup {}",
-                    report.canonical_first_ns,
-                    report.canonical_cached_ns,
-                    report.iso_cached_ns,
-                    report
-                        .naive_canonical_ns
-                        .map_or("(skipped)".to_string(), |n| format!("{n} ns")),
-                    report.canonical_speedup().map_or("n/a".to_string(), |s| format!("{s:.0}x")),
-                );
-                summary.push((
-                    name.to_string(),
-                    report.grid,
-                    report.cells,
-                    report.canonical_first_ns,
-                    report.giant,
-                ));
-                sec.push_str("        {\n");
-                sec.push_str(&format!("          \"grid\": {},\n", report.grid));
-                sec.push_str(&format!("          \"cells\": {},\n", report.cells));
-                sec.push_str("          \"stages_median_ns\": {");
-                for (s, (stage, ns)) in report.stages.iter().enumerate() {
-                    if s > 0 {
-                        sec.push_str(", ");
-                    }
-                    sec.push_str(&format!("\"{stage}\": {ns}"));
-                }
-                sec.push_str("},\n");
-                sec.push_str(&format!(
-                    "          \"canonical_median_ns\": {{\"first\": {}, \"cached\": {:.3}, \
-                     \"iso_cached\": {:.3}}},\n",
-                    report.canonical_first_ns, report.canonical_cached_ns, report.iso_cached_ns
-                ));
-                sec.push_str(&format!(
-                    "          \"giant_component\": {{\"skeleton_cells\": {}, \"choices\": {}, \
-                     \"surviving_choices\": {}}},\n",
-                    report.giant.giant_skeleton_cells,
-                    report.giant.giant_choices,
-                    report.giant.giant_surviving_choices,
-                ));
-                sec.push_str(&format!(
-                    "          \"samples_used\": {{\"stages\": {}, \"canonical_first\": {}, \
-                     \"naive_canonical\": {}}},\n",
-                    report.stage_samples,
-                    report.canonical_samples,
-                    report.naive_canonical_samples.map_or("null".to_string(), |n| n.to_string()),
-                ));
-                sec.push_str(&format!(
-                    "          \"naive_median_ns\": {{\"arrangement\": {}, \"top\": {}, \
-                     \"canonical\": {}}},\n",
-                    report.naive_arrangement_ns,
-                    report.naive_top_ns,
-                    report.naive_canonical_ns.map_or("null".to_string(), |n| n.to_string()),
-                ));
-                sec.push_str(&format!(
-                    "          \"speedup\": {{\"arrangement\": {:.2}, \"top\": {:.2}, \
-                     \"canonical\": {}}}\n",
-                    report.arrangement_speedup(),
-                    report.top_speedup(),
-                    report.canonical_speedup().map_or("null".to_string(), |s| format!("{s:.2}")),
-                ));
-                sec.push_str(if g + 1 < GRIDS.len() { "        },\n" } else { "        }\n" });
-            }
-            sec.push_str("      ]\n");
-            sec.push_str(if w + 1 < workloads.len() { "    },\n" } else { "    }\n" });
-        }
-        sec.push_str("  ]");
-        sections.push(sec);
+    for (_, key, measure) in stages {
+        record.push((key, measure(&mode)));
     }
-
-    // The datalog query-evaluation stage, at its own (smaller) scales.
-    // Per-workload reports, kept for the end-of-run summary that CI greps
-    // out of the log.
-    let mut datalog_reports: Vec<(&str, Vec<DatalogScaleReport>)> = Vec::new();
-    if run_stage("datalog") {
-        let mut sec = String::new();
-        sec.push_str("  \"datalog\": {\n");
-        sec.push_str("    \"semantics\": \"stratified\",\n");
-        sec.push_str(&format!(
-            "    \"grids\": [{}],\n",
-            DATALOG_GRIDS.map(|g| g.to_string()).join(", ")
-        ));
-        sec.push_str("    \"workloads\": [\n");
-        for (w, (name, gen)) in workloads.iter().enumerate() {
-            eprintln!("== {name} (datalog) ==");
-            let scales = measure_datalog(gen, samples, quick);
-            sec.push_str("      {\n");
-            sec.push_str(&format!("        \"name\": \"{}\",\n", json_escape(name)));
-            sec.push_str("        \"scales\": [\n");
-            for (g, scale) in scales.iter().enumerate() {
-                sec.push_str("          {\n");
-                sec.push_str(&format!("            \"grid\": {},\n", scale.grid));
-                sec.push_str(&format!("            \"cells\": {},\n", scale.cells));
-                sec.push_str("            \"programs\": {");
-                for (p, program) in scale.programs.iter().enumerate() {
-                    if p > 0 {
-                        sec.push_str(", ");
-                    }
-                    sec.push_str(&format!(
-                        "\"{}\": {{\"semi_ns\": {}, \"naive_ns\": {}, \"speedup\": {}, \
-                         \"samples_used\": {{\"semi\": {}, \"naive\": {}}}}}",
-                        program.name,
-                        program.semi_ns,
-                        program.naive_ns.map_or("null".to_string(), |n| n.to_string()),
-                        program.speedup().map_or("null".to_string(), |s| format!("{s:.2}")),
-                        program.semi_samples,
-                        program.naive_samples.map_or("null".to_string(), |n| n.to_string()),
-                    ));
-                    eprintln!(
-                        "  grid {:>2}: cells {:>5} {:<13} semi {:>12} ns  naive {:>14}  speedup {}",
-                        scale.grid,
-                        scale.cells,
-                        program.name,
-                        program.semi_ns,
-                        program.naive_ns.map_or("(skipped)".to_string(), |n| format!("{n} ns")),
-                        program.speedup().map_or("n/a".to_string(), |s| format!("{s:.1}x")),
-                    );
-                }
-                sec.push_str("}\n");
-                sec.push_str(if g + 1 < scales.len() { "          },\n" } else { "          }\n" });
-            }
-            sec.push_str("        ]\n");
-            sec.push_str(if w + 1 < workloads.len() { "      },\n" } else { "      }\n" });
-            datalog_reports.push((name, scales));
-        }
-        sec.push_str("    ]\n");
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-
-    // The demand stage: the goal-directed path vs bottom-up, vs the retired
-    // quadratic program, plus the bound-goal reachability demo.
-    let mut demand_reports: Vec<(&str, Vec<DemandScaleReport>)> = Vec::new();
-    if run_stage("demand") {
-        let mut sec = String::new();
-        sec.push_str("  \"demand\": {\n");
-        sec.push_str("    \"semantics\": \"stratified\",\n");
-        sec.push_str("    \"query\": \"is_connected\",\n");
-        sec.push_str(&format!(
-            "    \"grids\": [{}],\n",
-            DATALOG_GRIDS.map(|g| g.to_string()).join(", ")
-        ));
-        sec.push_str("    \"workloads\": [\n");
-        for (w, (name, gen)) in workloads.iter().enumerate() {
-            eprintln!("== {name} (demand) ==");
-            let scales = measure_demand(gen, samples, quick);
-            sec.push_str("      {\n");
-            sec.push_str(&format!("        \"name\": \"{}\",\n", json_escape(name)));
-            sec.push_str("        \"scales\": [\n");
-            for (g, scale) in scales.iter().enumerate() {
-                eprintln!(
-                    "  grid {:>2}: cells {:>5} goal {:>12} ns  bottomup {:>12} ns  quadratic \
-                     {:>12} ns  naive {:>14}  goal-vs-quadratic {:.1}x",
-                    scale.grid,
-                    scale.cells,
-                    scale.goal_ns,
-                    scale.bottomup_ns,
-                    scale.quadratic_ns,
-                    scale.naive_ns.map_or("(skipped)".to_string(), |n| format!("{n} ns")),
-                    scale.goal_vs_quadratic(),
-                );
-                if let Some(reach) = &scale.reach {
-                    eprintln!(
-                        "           reach_from_seed {}: {} answers  goal {:>12} ns  full {:>12} \
-                         ns  speedup {:.1}x",
-                        reach.seed,
-                        reach.answers,
-                        reach.goal_ns,
-                        reach.full_ns,
-                        reach.speedup(),
-                    );
-                }
-                sec.push_str("          {\n");
-                sec.push_str(&format!("            \"grid\": {},\n", scale.grid));
-                sec.push_str(&format!("            \"cells\": {},\n", scale.cells));
-                sec.push_str(&format!(
-                    "            \"library_linear\": {{\"goal_ns\": {}, \"bottomup_ns\": {}, \
-                     \"samples\": {}}},\n",
-                    scale.goal_ns, scale.bottomup_ns, scale.samples
-                ));
-                sec.push_str(&format!(
-                    "            \"quadratic_reference\": {{\"semi_ns\": {}, \"naive_ns\": {}, \
-                     \"samples_used\": {{\"semi\": {}, \"naive\": {}}}}},\n",
-                    scale.quadratic_ns,
-                    scale.naive_ns.map_or("null".to_string(), |n| n.to_string()),
-                    scale.samples,
-                    scale.naive_samples.map_or("null".to_string(), |n| n.to_string()),
-                ));
-                sec.push_str(&format!(
-                    "            \"speedup\": {{\"goal_vs_quadratic\": {:.2}, \
-                     \"goal_vs_bottomup\": {:.2}, \"goal_vs_naive\": {}}},\n",
-                    scale.goal_vs_quadratic(),
-                    scale.goal_vs_bottomup(),
-                    scale.goal_vs_naive().map_or("null".to_string(), |s| format!("{s:.2}")),
-                ));
-                match &scale.reach {
-                    Some(reach) => sec.push_str(&format!(
-                        "            \"reach_from_seed\": {{\"seed\": {}, \"answers\": {}, \
-                         \"goal_ns\": {}, \"full_ns\": {}, \"speedup\": {:.2}}}\n",
-                        reach.seed,
-                        reach.answers,
-                        reach.goal_ns,
-                        reach.full_ns,
-                        reach.speedup(),
-                    )),
-                    None => sec.push_str("            \"reach_from_seed\": null\n"),
-                }
-                sec.push_str(if g + 1 < scales.len() { "          },\n" } else { "          }\n" });
-            }
-            sec.push_str("        ]\n");
-            sec.push_str(if w + 1 < workloads.len() { "      },\n" } else { "      }\n" });
-            demand_reports.push((name, scales));
-        }
-        sec.push_str("    ]\n");
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-
-    // The concurrent invariant-store stage.
-    if run_stage("store") {
-        eprintln!("== store stage ==");
-        let store = measure_store(quick);
-        eprintln!(
-            "  ingest  {:>6} instances ({} bases, {} classes) on {} threads: {:>12} ns  \
-             ({:.0} instances/sec, {} dedup hits)",
-            store.instances,
-            store.bases,
-            store.classes,
-            store.ingest_threads,
-            store.ingest_ns,
-            store.ingest_per_sec,
-            store.dedup_hits,
-        );
-        eprintln!(
-            "  query   {:>6} queries on {} threads: memo {:>12} ns ({:.0} q/s, hit rate {:.4})  \
-             no-memo {:>12} ns ({:.0} q/s)  memo speedup {:.1}x",
-            store.queries,
-            store.query_threads,
-            store.memo_ns,
-            store.memo_qps,
-            store.memo_hit_rate,
-            store.nomemo_ns,
-            store.nomemo_qps,
-            store.memo_speedup(),
-        );
-        let mut sec = String::new();
-        sec.push_str("  \"store\": {\n");
-        sec.push_str(&format!("    \"instances\": {},\n", store.instances));
-        sec.push_str(&format!("    \"bases\": {},\n", store.bases));
-        sec.push_str(&format!("    \"classes\": {},\n", store.classes));
-        sec.push_str(&format!("    \"dedup_hits\": {},\n", store.dedup_hits));
-        sec.push_str(&format!("    \"ingest_threads\": {},\n", store.ingest_threads));
-        sec.push_str(&format!("    \"query_threads\": {},\n", store.query_threads));
-        sec.push_str(&format!("    \"ingest_ns\": {},\n", store.ingest_ns));
-        sec.push_str(&format!("    \"ingest_instances_per_sec\": {:.1},\n", store.ingest_per_sec));
-        sec.push_str(&format!("    \"queries_per_sweep\": {},\n", store.queries));
-        sec.push_str(&format!("    \"memo_sweep_ns\": {},\n", store.memo_ns));
-        sec.push_str(&format!("    \"memo_queries_per_sec\": {:.1},\n", store.memo_qps));
-        sec.push_str(&format!("    \"memo_hit_rate\": {:.6},\n", store.memo_hit_rate));
-        sec.push_str(&format!("    \"nomemo_sweep_ns\": {},\n", store.nomemo_ns));
-        sec.push_str(&format!("    \"nomemo_queries_per_sec\": {:.1},\n", store.nomemo_qps));
-        sec.push_str(&format!("    \"memo_speedup\": {:.2}\n", store.memo_speedup()));
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-
-    // The durability stage: snapshot + WAL persistence over the in-memory
-    // backend, so the numbers isolate the encode/replay cost from disk I/O.
-    if run_stage("recovery") {
-        eprintln!("== recovery stage ==");
-        let recovery = measure_persist(quick);
-        let mut sec = String::new();
-        sec.push_str("  \"recovery\": {\n");
-        sec.push_str("    \"scales\": [\n");
-        for (i, r) in recovery.iter().enumerate() {
-            eprintln!(
-                "  {:>5} instances ({} classes, {} wal records): ingest+log {:>11} ns \
-                 ({:.0}/sec), replay {:>10} ns ({:.0} records/sec), snapshot write \
-                 {:>9} ns ({} bytes), load {:>9} ns, mixed recover {:>10} ns",
-                r.instances,
-                r.classes,
-                r.wal_records,
-                r.ingest_log_ns,
-                r.ingest_log_per_sec,
-                r.wal_replay_ns,
-                r.wal_replay_records_per_sec,
-                r.snapshot_write_ns,
-                r.snapshot_bytes,
-                r.snapshot_load_ns,
-                r.mixed_recover_ns,
-            );
-            sec.push_str("      {\n");
-            sec.push_str(&format!("        \"copies\": {},\n", r.copies));
-            sec.push_str(&format!("        \"instances\": {},\n", r.instances));
-            sec.push_str(&format!("        \"classes\": {},\n", r.classes));
-            sec.push_str(&format!("        \"wal_records\": {},\n", r.wal_records));
-            sec.push_str(&format!("        \"wal_bytes\": {},\n", r.wal_bytes));
-            sec.push_str(&format!("        \"ingest_log_ns\": {},\n", r.ingest_log_ns));
-            sec.push_str(&format!(
-                "        \"ingest_log_per_sec\": {:.1},\n",
-                r.ingest_log_per_sec
-            ));
-            sec.push_str(&format!("        \"wal_replay_ns\": {},\n", r.wal_replay_ns));
-            sec.push_str(&format!(
-                "        \"wal_replay_records_per_sec\": {:.1},\n",
-                r.wal_replay_records_per_sec
-            ));
-            sec.push_str(&format!("        \"snapshot_write_ns\": {},\n", r.snapshot_write_ns));
-            sec.push_str(&format!("        \"snapshot_bytes\": {},\n", r.snapshot_bytes));
-            sec.push_str(&format!("        \"snapshot_load_ns\": {},\n", r.snapshot_load_ns));
-            sec.push_str(&format!("        \"mixed_recover_ns\": {},\n", r.mixed_recover_ns));
-            sec.push_str(&format!("        \"samples\": {}\n", r.samples));
-            sec.push_str(if i + 1 < recovery.len() { "      },\n" } else { "      }\n" });
-        }
-        sec.push_str("    ]\n");
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-
-    // The thread-pool sweep: speedup-vs-threads curve for the batched store
-    // ingest.
-    if run_stage("parallel") {
-        eprintln!("== parallel stage ==");
-        let parallel = measure_parallel(quick);
-        let base_batch = parallel.sweep[0].batch_ingest_ns;
-        eprintln!(
-            "  batch of {} instances, host threads {}",
-            parallel.batch_size, parallel.host_threads,
-        );
-        let mut sec = String::new();
-        sec.push_str("  \"parallel\": {\n");
-        sec.push_str(&format!("    \"host_threads\": {},\n", parallel.host_threads));
-        sec.push_str(&format!("    \"batch_size\": {},\n", parallel.batch_size));
-        sec.push_str(&format!("    \"samples\": {},\n", parallel.samples));
-        sec.push_str("    \"sweep\": [\n");
-        for (i, r) in parallel.sweep.iter().enumerate() {
-            let speedup = base_batch as f64 / r.batch_ingest_ns as f64;
-            eprintln!(
-                "  threads {:>2}: batch ingest {:>12} ns ({speedup:.2}x)",
-                r.threads, r.batch_ingest_ns,
-            );
-            sec.push_str("      {\n");
-            sec.push_str(&format!("        \"threads\": {},\n", r.threads));
-            sec.push_str(&format!("        \"batch_ingest_ns\": {},\n", r.batch_ingest_ns));
-            sec.push_str(&format!(
-                "        \"speedup_vs_1\": {{\"batch_ingest\": {speedup:.2}}}\n"
-            ));
-            sec.push_str(if i + 1 < parallel.sweep.len() { "      },\n" } else { "      }\n" });
-        }
-        sec.push_str("    ]\n");
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-
-    // The incremental-maintenance stage: single-region edit latency through
-    // MaintainedInvariant vs cold rebuilds of the same states.
-    let mut incremental_reports: Vec<(&str, Vec<IncrementalScaleReport>)> = Vec::new();
-    if run_stage("incremental") {
-        let host_threads =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let mut sec = String::new();
-        sec.push_str("  \"incremental\": {\n");
-        sec.push_str(&format!("    \"host_threads\": {host_threads},\n"));
-        sec.push_str(&format!(
-            "    \"grids\": [{}],\n",
-            INCREMENTAL_GRIDS.map(|g| g.to_string()).join(", ")
-        ));
-        sec.push_str("    \"workloads\": [\n");
-        for (w, (name, gen)) in workloads.iter().enumerate() {
-            eprintln!("== {name} (incremental) ==");
-            let scales = measure_incremental(gen, samples);
-            sec.push_str("      {\n");
-            sec.push_str(&format!("        \"name\": \"{}\",\n", json_escape(name)));
-            sec.push_str("        \"scales\": [\n");
-            for (g, scale) in scales.iter().enumerate() {
-                eprintln!(
-                    "  grid {:>2}: cells {:>6}  edit round trip {:>12} ns  rebuild {:>12} ns  \
-                     speedup {:>5.1}x  (groups rebuilt {} / reused {})",
-                    scale.grid,
-                    scale.cells,
-                    scale.incremental_ns,
-                    scale.rebuild_ns,
-                    scale.speedup(),
-                    scale.stats.group_builds,
-                    scale.stats.group_reuses,
-                );
-                sec.push_str("          {\n");
-                sec.push_str(&format!("            \"grid\": {},\n", scale.grid));
-                sec.push_str(&format!("            \"cells\": {},\n", scale.cells));
-                sec.push_str(&format!("            \"regions\": {},\n", scale.regions));
-                sec.push_str(&format!(
-                    "            \"edit_round_trip_ns\": {},\n",
-                    scale.incremental_ns
-                ));
-                sec.push_str(&format!(
-                    "            \"rebuild_round_trip_ns\": {},\n",
-                    scale.rebuild_ns
-                ));
-                sec.push_str(&format!("            \"speedup\": {:.2},\n", scale.speedup()));
-                sec.push_str(&format!("            \"samples_used\": {},\n", scale.samples));
-                sec.push_str(&format!(
-                    "            \"maintain_stats\": {{\"edits\": {}, \"group_builds\": {}, \
-                     \"group_reuses\": {}, \"pair_computes\": {}, \"pair_reuses\": {}}}\n",
-                    scale.stats.edits,
-                    scale.stats.group_builds,
-                    scale.stats.group_reuses,
-                    scale.stats.pair_computes,
-                    scale.stats.pair_reuses,
-                ));
-                sec.push_str(if g + 1 < scales.len() { "          },\n" } else { "          }\n" });
-            }
-            sec.push_str("        ]\n");
-            sec.push_str(if w + 1 < workloads.len() { "      },\n" } else { "      }\n" });
-            incremental_reports.push((name, scales));
-        }
-        sec.push_str("    ]\n");
-        sec.push_str("  }");
-        sections.push(sec);
-    }
-
-    let out = format!("{{\n{}\n}}\n", sections.join(",\n"));
-    std::fs::write(&out_path, &out).expect("write benchmark baseline");
+    // Quick mode never overwrites the committed full-sample baseline unless
+    // `--out` names it.
+    let out_path =
+        out.unwrap_or_else(|| if quick { "BENCH_quick.json" } else { "BENCH_10.json" }.to_string());
+    std::fs::write(&out_path, Json::obj(record).pretty()).expect("write benchmark baseline");
     eprintln!("wrote {out_path}");
-
-    // Cold-canonicalisation summary, one line per workload/scale, so CI logs
-    // (and humans skimming them) see canonicalisation regressions at a
-    // glance without opening the JSON.
-    if !summary.is_empty() {
-        eprintln!("== cold canonical_code() per workload ==");
-        for (name, grid, cells, first_ns, giant) in &summary {
-            eprintln!(
-                "  {name:<20} grid {grid:>2}  cells {cells:>6}  giant {:>6}  choices {:>6} -> \
-                 {:<4} cold {:>12} ns",
-                giant.giant_skeleton_cells,
-                giant.giant_choices,
-                giant.giant_surviving_choices,
-                first_ns,
-            );
-        }
-    }
-
-    // Same for the datalog query-evaluation stage: one line per
-    // workload/scale/program, semi-naive vs the frozen reference engine.
-    if !datalog_reports.is_empty() {
-        eprintln!("== datalog stage per workload ==");
-        for (name, scales) in &datalog_reports {
-            for scale in scales {
-                for program in &scale.programs {
-                    eprintln!(
-                        "  {name:<20} grid {:>2}  cells {:>6}  {:<13} semi {:>12} ns  \
-                         naive {:>14}  speedup {}",
-                        scale.grid,
-                        scale.cells,
-                        program.name,
-                        program.semi_ns,
-                        program.naive_ns.map_or("(skipped)".to_string(), |n| format!("{n} ns")),
-                        program.speedup().map_or("n/a".to_string(), |s| format!("{s:.1}x")),
-                    );
-                }
-            }
-        }
-    }
-
-    // The incremental stage: maintained edit latency vs cold rebuilds, one
-    // line per workload/scale, greppable from CI logs.
-    if !incremental_reports.is_empty() {
-        eprintln!("== incremental stage per workload ==");
-        for (name, scales) in &incremental_reports {
-            for scale in scales {
-                eprintln!(
-                    "  {name:<20} grid {:>2}  cells {:>6}  edit {:>12} ns  rebuild {:>12} ns  \
-                     speedup {:>5.1}x",
-                    scale.grid,
-                    scale.cells,
-                    scale.incremental_ns,
-                    scale.rebuild_ns,
-                    scale.speedup(),
-                );
-            }
-        }
-    }
-
-    // And the demand stage: goal-directed vs bottom-up vs the retired
-    // quadratic program, one line per workload/scale.
-    if !demand_reports.is_empty() {
-        eprintln!("== demand stage per workload ==");
-        for (name, scales) in &demand_reports {
-            for scale in scales {
-                eprintln!(
-                    "  {name:<20} grid {:>2}  cells {:>6}  goal {:>12} ns  bottomup {:>12} ns  \
-                     quadratic {:>12} ns  goal-vs-quadratic {:.1}x  goal-vs-bottomup {:.2}x",
-                    scale.grid,
-                    scale.cells,
-                    scale.goal_ns,
-                    scale.bottomup_ns,
-                    scale.quadratic_ns,
-                    scale.goal_vs_quadratic(),
-                    scale.goal_vs_bottomup(),
-                );
-            }
-        }
-    }
 }

@@ -9,6 +9,9 @@
 //! (Theorem 4.9), and the four evaluation strategies of the
 //! practical-considerations section.
 
+pub mod json;
+
+pub use json::Json;
 use std::time::{Duration, Instant};
 use topo_core::{InvariantStats, SpatialInstance, TopologicalInvariant};
 
