@@ -6,7 +6,8 @@
 //! leaves, the class is collected — its representative `Arc` dropped (the
 //! only deep state the store holds), its content address unregistered, its
 //! id retired, and its memoised answers purged so no stale
-//! `(class, query)` row survives the class it described.
+//! `(class, query)` row survives the class it described. The table side is
+//! the `detach` transition, which WAL replay and updates share.
 //!
 //! Lock discipline: the table mutation happens under the usual
 //! `classes → instances` write locks (with the WAL removal record appended
@@ -19,42 +20,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::{write_recover, ClassId, ClassTable, InstanceId, InstanceTable, InvariantStore};
-
-/// Removes a dead instance from the tables: tombstones the slot, drops it
-/// from the member list, and collects the class if it emptied. Returns the
-/// class the instance belonged to and whether the class was collected, or
-/// `None` if the id is unknown or already removed. Shared by the live
-/// removal path and WAL replay so recovery reproduces removal semantics
-/// exactly.
-pub(crate) fn remove_from_tables(
-    classes: &mut ClassTable,
-    instances: &mut InstanceTable,
-    id: InstanceId,
-) -> Option<(ClassId, bool)> {
-    let slot = instances.slots.get_mut(id)?;
-    let class = slot.take()?;
-    instances.live -= 1;
-    let members = &mut classes.members[class];
-    if let Some(pos) = members.iter().position(|&m| m == id) {
-        members.remove(pos);
-    }
-    if !members.is_empty() {
-        return Some((class, false));
-    }
-    // Last member gone: collect the class. The slot keeps its index (ids
-    // are never reused); only the representative and the content address go.
-    classes.reps[class] = None;
-    let hash = classes.hashes[class];
-    if let Some(candidates) = classes.by_hash.get_mut(&hash) {
-        candidates.retain(|&c| c != class);
-        if candidates.is_empty() {
-            classes.by_hash.remove(&hash);
-        }
-    }
-    classes.live -= 1;
-    Some((class, true))
-}
+use crate::{write_recover, ClassId, InstanceId, InvariantStore};
 
 impl InvariantStore {
     /// Removes an ingested instance. Returns `true` if the id was live (and
@@ -71,13 +37,10 @@ impl InvariantStore {
         let collected = {
             let mut classes = write_recover(&self.classes, &self.counters);
             let mut instances = write_recover(&self.instances, &self.counters);
-            let Some((class, collected)) = remove_from_tables(&mut classes, &mut instances, id)
-            else {
+            let Some((class, collected)) = classes.detach(&mut instances, id) else {
                 return false;
             };
-            if self.persistence.is_some() {
-                self.wal_remove(id);
-            }
+            self.wal_remove(id);
             self.counters.removals.fetch_add(1, Ordering::Relaxed);
             if collected {
                 self.counters.gc_classes.fetch_add(1, Ordering::Relaxed);

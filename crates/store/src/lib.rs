@@ -209,6 +209,16 @@ pub enum IngestOutcome {
 }
 
 impl IngestOutcome {
+    /// The outcome of placing instance `id`, which opened its class iff
+    /// `admitted`.
+    pub(crate) fn placed(id: InstanceId, admitted: bool) -> Self {
+        if admitted {
+            IngestOutcome::Admitted(id)
+        } else {
+            IngestOutcome::Deduplicated(id)
+        }
+    }
+
     /// The id assigned to the instance, unless it was rejected.
     pub fn id(&self) -> Option<InstanceId> {
         match *self {
@@ -348,6 +358,101 @@ pub(crate) struct InstanceTable {
     pub(crate) live: usize,
 }
 
+/// The table transitions: live ingest, update and removal, WAL replay and
+/// snapshot load change the two tables through these methods only, so a
+/// recovered store holds the tables the live store held. Each live class's
+/// member list is sorted and names exactly the instances pointing at it.
+impl ClassTable {
+    /// Opens a class with `rep` as its representative. The new id is always
+    /// the next slot, `reps.len()`: class ids are never reused.
+    pub(crate) fn open(&mut self, hash: CodeHash, rep: Arc<TopologicalInvariant>) -> ClassId {
+        let class = self.reps.len();
+        self.reps.push(Some(rep));
+        self.hashes.push(hash);
+        self.members.push(Vec::new());
+        self.by_hash.entry(hash).or_default().push(class);
+        self.live += 1;
+        class
+    }
+
+    /// Points instance `id` at the live class `class`. The id is either the
+    /// next instance slot or a slot [`detach`](Self::detach) emptied; the
+    /// member list stays sorted by id, the order snapshots preserve.
+    pub(crate) fn attach(&mut self, instances: &mut InstanceTable, id: InstanceId, class: ClassId) {
+        if id == instances.slots.len() {
+            instances.slots.push(None);
+        }
+        debug_assert!(instances.slots[id].is_none() && self.reps[class].is_some());
+        instances.slots[id] = Some(class);
+        instances.live += 1;
+        let members = &mut self.members[class];
+        members.insert(members.partition_point(|&m| m < id), id);
+    }
+
+    /// Tombstones instance `id` and drops it from its class, collecting the
+    /// class if it emptied: the slot keeps its index, and only the
+    /// representative and the content address go. Returns the class and
+    /// whether it was collected, or `None` for an unknown or removed id.
+    pub(crate) fn detach(
+        &mut self,
+        instances: &mut InstanceTable,
+        id: InstanceId,
+    ) -> Option<(ClassId, bool)> {
+        let class = instances.slots.get_mut(id)?.take()?;
+        instances.live -= 1;
+        let members = &mut self.members[class];
+        if let Ok(pos) = members.binary_search(&id) {
+            members.remove(pos);
+        }
+        if !members.is_empty() {
+            return Some((class, false));
+        }
+        self.reps[class] = None;
+        let hash = self.hashes[class];
+        if let Some(candidates) = self.by_hash.get_mut(&hash) {
+            candidates.retain(|&c| c != class);
+            if candidates.is_empty() {
+                self.by_hash.remove(&hash);
+            }
+        }
+        self.live -= 1;
+        Some((class, true))
+    }
+
+    /// True iff `class` is an opened, uncollected class.
+    pub(crate) fn is_live(&self, class: ClassId) -> bool {
+        self.reps.get(class).is_some_and(Option::is_some)
+    }
+
+    /// Extends the table with collected slots up to `len` classes, so ids
+    /// of classes collected before a snapshot stay dead after loading it.
+    pub(crate) fn retire_to(&mut self, len: usize) -> Result<(), PersistError> {
+        grow(&mut self.reps, len, None)?;
+        grow(&mut self.hashes, len, CodeHash::from_u64(0))?;
+        grow(&mut self.members, len, Vec::new())
+    }
+}
+
+impl InstanceTable {
+    /// Extends the table with removed slots up to `len` instances (see
+    /// [`ClassTable::retire_to`]).
+    pub(crate) fn retire_to(&mut self, len: usize) -> Result<(), PersistError> {
+        grow(&mut self.slots, len, None)
+    }
+}
+
+/// Extends `table` to `len` entries of `fill`. The length comes from disk,
+/// so an allocation the platform refuses is a corrupt count, not an abort.
+fn grow<T: Clone>(table: &mut Vec<T>, len: usize, fill: T) -> Result<(), PersistError> {
+    table
+        .try_reserve(len.saturating_sub(table.len()))
+        .map_err(|_| PersistError::Corrupt(format!("cannot allocate a table of {len} slots")))?;
+    if len > table.len() {
+        table.resize(len, fill);
+    }
+    Ok(())
+}
+
 /// The store's monotone counters, grouped so lock helpers can reach them.
 #[derive(Default)]
 pub(crate) struct Counters {
@@ -483,14 +588,7 @@ impl InvariantStore {
     /// with a bounded [`StoreConfig::max_classes`]); bounded stores should
     /// use [`try_ingest_invariant`](Self::try_ingest_invariant).
     pub fn ingest_invariant(&self, invariant: Arc<TopologicalInvariant>) -> InstanceId {
-        match self.try_ingest_invariant(invariant) {
-            IngestOutcome::Admitted(id) | IngestOutcome::Deduplicated(id) => id,
-            IngestOutcome::Rejected => panic!(
-                "InvariantStore::ingest_invariant rejected: class table at max_classes ({}); \
-                 use try_ingest_invariant to handle admission",
-                self.config.max_classes
-            ),
-        }
+        self.admitted_id(self.try_ingest_invariant(invariant), "ingest_invariant")
     }
 
     /// Admission-checked ingest of a spatial instance; see
@@ -510,48 +608,10 @@ impl InvariantStore {
     /// to the WAL before the locks release; a backend failure is counted in
     /// [`StoreStats::wal_errors`] and the in-memory ingest still completes
     /// (availability over durability — the caller can watch the counter).
+    /// This is [`try_ingest_invariant_batch`](Self::try_ingest_invariant_batch)
+    /// on a batch of one.
     pub fn try_ingest_invariant(&self, invariant: Arc<TopologicalInvariant>) -> IngestOutcome {
-        // Canonicalise before taking any lock: the first code computation is
-        // the expensive step, and it is cached on the invariant itself, so
-        // the locked section below only compares cached codes.
-        let hash = invariant.code_hash();
-        invariant.canonical_code();
-        // Lock order everywhere both are held: `classes` before `instances`.
-        let mut classes = write_recover(&self.classes, &self.counters);
-        let (class, admitted) = match self.locate_class(&classes, hash, &invariant) {
-            Some(class) => {
-                self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                (class, false)
-            }
-            None => {
-                if classes.live >= self.config.max_classes {
-                    self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    return IngestOutcome::Rejected;
-                }
-                let class = classes.reps.len();
-                classes.reps.push(Some(invariant));
-                classes.hashes.push(hash);
-                classes.members.push(Vec::new());
-                classes.by_hash.entry(hash).or_default().push(class);
-                classes.live += 1;
-                (class, true)
-            }
-        };
-        let mut instances = write_recover(&self.instances, &self.counters);
-        let id = instances.slots.len();
-        instances.slots.push(Some(class));
-        instances.live += 1;
-        classes.members[class].push(id);
-        if self.persistence.is_some() {
-            // Appended while both locks are held, so the WAL order is exactly
-            // the id-assignment order: recovery always sees a prefix.
-            self.wal_ingest(&classes, id, class, admitted);
-        }
-        if admitted {
-            IngestOutcome::Admitted(id)
-        } else {
-            IngestOutcome::Deduplicated(id)
-        }
+        self.try_ingest_invariant_batch(std::slice::from_ref(&invariant))[0]
     }
 
     /// Batched [`ingest`](Self::ingest): builds and canonicalises every
@@ -568,15 +628,20 @@ impl InvariantStore {
     pub fn ingest_batch(&self, instances: &[SpatialInstance]) -> Vec<InstanceId> {
         self.try_ingest_batch(instances)
             .into_iter()
-            .map(|outcome| match outcome {
-                IngestOutcome::Admitted(id) | IngestOutcome::Deduplicated(id) => id,
-                IngestOutcome::Rejected => panic!(
-                    "InvariantStore::ingest_batch rejected: class table at max_classes ({}); \
-                     use try_ingest_batch to handle admission",
-                    self.config.max_classes
-                ),
-            })
+            .map(|outcome| self.admitted_id(outcome, "ingest_batch"))
             .collect()
+    }
+
+    /// The id of an admitted or deduplicated ingest; panics on a rejection
+    /// by the admission policy, naming the `try_` variant of `call`.
+    fn admitted_id(&self, outcome: IngestOutcome, call: &str) -> InstanceId {
+        outcome.id().unwrap_or_else(|| {
+            panic!(
+                "InvariantStore::{call} rejected: class table at max_classes ({}); \
+                 use try_{call} to handle admission",
+                self.config.max_classes
+            )
+        })
     }
 
     /// Admission-checked batched ingest; see
@@ -609,55 +674,39 @@ impl InvariantStore {
         &self,
         invariants: &[Arc<TopologicalInvariant>],
     ) -> Vec<IngestOutcome> {
+        // Canonicalise before taking any lock: the first code computation is
+        // the expensive step, and it is cached on the invariant itself, so
+        // the locked section below only compares cached codes.
         let pool = topo_parallel::Pool::global();
         let hashes: Vec<CodeHash> = pool.par_map_collect(invariants, |invariant| {
             let hash = invariant.code_hash();
             invariant.canonical_code();
             hash
         });
-        let mut records: Vec<(InstanceId, ClassId, bool)> = Vec::with_capacity(invariants.len());
+        let mut records = Vec::with_capacity(invariants.len());
         let mut outcomes = Vec::with_capacity(invariants.len());
         // Lock order everywhere both are held: `classes` before `instances`.
         let mut classes = write_recover(&self.classes, &self.counters);
         let mut instances = write_recover(&self.instances, &self.counters);
         for (invariant, &hash) in invariants.iter().zip(&hashes) {
-            let (class, admitted) = match self.locate_class(&classes, hash, invariant) {
-                Some(class) => {
-                    self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    (class, false)
-                }
-                None => {
-                    if classes.live >= self.config.max_classes {
-                        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        outcomes.push(IngestOutcome::Rejected);
-                        continue;
-                    }
-                    let class = classes.reps.len();
-                    classes.reps.push(Some(invariant.clone()));
-                    classes.hashes.push(hash);
-                    classes.members.push(Vec::new());
-                    classes.by_hash.entry(hash).or_default().push(class);
-                    classes.live += 1;
-                    (class, true)
-                }
-            };
+            let located = self.locate_class(&classes, hash, invariant);
+            if located.is_some() {
+                self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            } else if classes.live >= self.config.max_classes {
+                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                outcomes.push(IngestOutcome::Rejected);
+                continue;
+            }
+            let class = located.unwrap_or_else(|| classes.open(hash, invariant.clone()));
             let id = instances.slots.len();
-            instances.slots.push(Some(class));
-            instances.live += 1;
-            classes.members[class].push(id);
-            records.push((id, class, admitted));
-            outcomes.push(if admitted {
-                IngestOutcome::Admitted(id)
-            } else {
-                IngestOutcome::Deduplicated(id)
-            });
+            classes.attach(&mut instances, id, class);
+            records.push((id, class, located.is_none()));
+            outcomes.push(IngestOutcome::placed(id, located.is_none()));
         }
-        if self.persistence.is_some() {
-            // One group append while both locks are held, so the WAL order is
-            // still exactly the id-assignment order: recovery always sees a
-            // prefix of the operation history.
-            self.wal_ingest_batch(&classes, &records);
-        }
+        // One append while both locks are held, so the WAL order is exactly
+        // the id-assignment order: recovery always sees a prefix of the
+        // operation history.
+        self.wal_place(persist::TAG_INGEST, &classes, &records);
         outcomes
     }
 
@@ -888,8 +937,7 @@ impl InvariantStore {
     /// or garbage-collected class id.
     pub fn class_members(&self, class: ClassId) -> Option<Vec<InstanceId>> {
         let classes = read_recover(&self.classes, &self.counters);
-        classes.reps.get(class)?.as_ref()?;
-        classes.members.get(class).cloned()
+        classes.is_live(class).then(|| classes.members[class].clone())
     }
 
     /// A consistent snapshot of the partition of all live instances into

@@ -18,7 +18,14 @@
 //! ingest := 0x01, seq: u64, id: u64, class: u64, code_hash: u64,
 //!           new_class: u8, [invariant (only when new_class = 1)]
 //! remove := 0x02, seq: u64, id: u64
+//! update := 0x03, seq: u64, id: u64, class: u64, code_hash: u64,
+//!           new_class: u8, [invariant (only when new_class = 1)]
 //! ```
+//!
+//! `ingest` and `update` share one *class record* layout, written by one
+//! encoder and read by one decoder: instance `id` joins `class`, opening it
+//! when `new_class = 1`. A batch ingest writes exactly the records the
+//! same ingests one at a time would write, in one backend append.
 //!
 //! The **snapshot** is a magic + version header (`"TSNP"`, version 1)
 //! followed by a single framed record holding the full live state: the next
@@ -43,6 +50,13 @@
 //! is exactly the property the fault-injection suite checks recovered
 //! stores against.
 //!
+//! Replay and snapshot load change the tables through the same transitions
+//! as the live store (open a class, attach an instance, detach it), and
+//! reject as corrupt any checksum-valid input the live store could not have
+//! written: a record that opens a class other than the next class id, an
+//! ingest that skips an instance id, a placement into a dead class, or a
+//! snapshot whose class or instance ids are not strictly ascending.
+//!
 //! # Durability vs. availability
 //!
 //! A WAL append that fails at the backend does **not** fail the in-memory
@@ -62,7 +76,7 @@ use topo_invariant::{CodeHash, InvariantParts, TopologicalInvariant};
 use topo_spatial::Schema;
 
 use crate::{
-    gc, read_recover, ClassId, ClassTable, InstanceId, InstanceTable, InvariantStore, StoreConfig,
+    read_recover, ClassId, ClassTable, InstanceId, InstanceTable, InvariantStore, StoreConfig,
 };
 
 /// Magic bytes opening a snapshot file.
@@ -70,9 +84,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 /// Current snapshot/WAL format version.
 pub const FORMAT_VERSION: u32 = 1;
 
-const TAG_INGEST: u8 = 0x01;
+pub(crate) const TAG_INGEST: u8 = 0x01;
 const TAG_REMOVE: u8 = 0x02;
-const TAG_UPDATE: u8 = 0x03;
+pub(crate) const TAG_UPDATE: u8 = 0x03;
 
 // ---------------------------------------------------------------------------
 // checksum
@@ -711,135 +725,102 @@ impl InvariantStore {
         self.persistence.is_some()
     }
 
-    /// Appends an ingest record; called with the class/instance write locks
-    /// held so seq order equals id order. Backend failure is counted, not
-    /// propagated — see the module docs.
-    pub(crate) fn wal_ingest(
+    /// Logs one `tag` class record per `(id, class, new_class)` placement,
+    /// after the tables took it: `classes` holds each hash and opened
+    /// representative.
+    pub(crate) fn wal_place(
         &self,
-        classes: &ClassTable,
-        id: InstanceId,
-        class: ClassId,
-        new_class: bool,
-    ) {
-        let Some(persistence) = &self.persistence else { return };
-        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-        let mut enc = Enc::new();
-        enc.u8(TAG_INGEST);
-        enc.u64(seq);
-        enc.u64(id as u64);
-        enc.u64(class as u64);
-        enc.u64(classes.hashes[class].as_u64());
-        enc.u8(new_class as u8);
-        if new_class {
-            let rep = classes.reps[class].as_ref().expect("new class has a representative");
-            encode_invariant(&mut enc, rep);
-        }
-        self.append_framed(persistence, &enc.buf);
-    }
-
-    /// Appends a batch of ingest records in **one** backend write; called
-    /// with the class/instance write locks held so seq order equals id
-    /// order. Each record is framed individually — recovery and torn-tail
-    /// truncation see exactly the record stream per-record appends would
-    /// have produced — but the frames are concatenated and handed to the
-    /// backend as a single append, amortising its per-call cost across the
-    /// batch. Backend failure is counted once per record, not propagated.
-    pub(crate) fn wal_ingest_batch(
-        &self,
+        tag: u8,
         classes: &ClassTable,
         records: &[(InstanceId, ClassId, bool)],
     ) {
+        self.wal_append(records, |enc, seq, &(id, class, new_class)| {
+            let opened = new_class
+                .then(|| classes.reps[class].as_deref().expect("new class has a representative"));
+            encode_class_record(enc, tag, seq, id, class, classes.hashes[class], opened);
+        });
+    }
+
+    /// Logs a removal record; called with the write locks held.
+    pub(crate) fn wal_remove(&self, id: InstanceId) {
+        self.wal_append(&[id], |enc, seq, &id| {
+            enc.u8(TAG_REMOVE);
+            enc.u64(seq);
+            enc.u64(id as u64);
+        });
+    }
+
+    /// The one WAL append routine, called with the write locks held so seq
+    /// order is id order. Each record takes the next seq and its own frame,
+    /// and all frames go to the backend in **one** write. A failure is
+    /// counted per record, not propagated (see the module docs), and
+    /// freezes the log; a frozen log still consumes its records' seqs.
+    fn wal_append<R>(&self, records: &[R], encode: impl Fn(&mut Enc, u64, &R)) {
         let Some(persistence) = &self.persistence else { return };
         if records.is_empty() {
             return;
         }
+        let count = records.len() as u64;
+        let first = persistence.seq.fetch_add(count, Ordering::SeqCst);
         if persistence.broken.load(Ordering::SeqCst) {
-            // Skipped records still consume their sequence numbers, like the
-            // single-record paths: every assigned id has a seq below `seq`.
-            persistence.seq.fetch_add(records.len() as u64, Ordering::SeqCst);
-            self.counters.wal_errors.fetch_add(records.len() as u64, Ordering::Relaxed);
+            self.counters.wal_errors.fetch_add(count, Ordering::Relaxed);
             return;
         }
         let mut buf = Vec::new();
-        for &(id, class, new_class) in records {
-            let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-            let mut enc = Enc::new();
-            enc.u8(TAG_INGEST);
-            enc.u64(seq);
-            enc.u64(id as u64);
-            enc.u64(class as u64);
-            enc.u64(classes.hashes[class].as_u64());
-            enc.u8(new_class as u8);
-            if new_class {
-                let rep = classes.reps[class].as_ref().expect("new class has a representative");
-                encode_invariant(&mut enc, rep);
-            }
+        let mut enc = Enc::new();
+        for (seq, record) in (first..).zip(records) {
+            enc.buf.clear();
+            encode(&mut enc, seq, record);
             buf.extend_from_slice(&frame(&enc.buf));
         }
-        match persistence.backend.append_wal(&buf) {
-            Ok(()) => {
-                self.counters.wal_appends.fetch_add(records.len() as u64, Ordering::Relaxed);
-            }
+        let counter = match persistence.backend.append_wal(&buf) {
+            Ok(()) => &self.counters.wal_appends,
             Err(_) => {
                 persistence.broken.store(true, Ordering::SeqCst);
-                self.counters.wal_errors.fetch_add(records.len() as u64, Ordering::Relaxed);
+                &self.counters.wal_errors
             }
-        }
+        };
+        counter.fetch_add(count, Ordering::Relaxed);
     }
+}
 
-    /// Appends an update record — the single-record re-point of a live
-    /// instance at a (possibly new) class; called with the write locks held
-    /// *after* the tables reflect the update, so `classes` carries the new
-    /// class's hash and representative.
-    pub(crate) fn wal_update(
-        &self,
-        classes: &ClassTable,
-        id: InstanceId,
-        class: ClassId,
-        new_class: bool,
-    ) {
-        let Some(persistence) = &self.persistence else { return };
-        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-        let mut enc = Enc::new();
-        enc.u8(TAG_UPDATE);
-        enc.u64(seq);
-        enc.u64(id as u64);
-        enc.u64(class as u64);
-        enc.u64(classes.hashes[class].as_u64());
-        enc.u8(new_class as u8);
-        if new_class {
-            let rep = classes.reps[class].as_ref().expect("new class has a representative");
-            encode_invariant(&mut enc, rep);
-        }
-        self.append_framed(persistence, &enc.buf);
+/// The one class-record encoder, shared by ingest and update:
+/// `tag, seq, id, class, code_hash, new_class, [invariant]`, where `opened`
+/// is the representative of the class the record opens, if it opens one.
+pub(crate) fn encode_class_record(
+    enc: &mut Enc,
+    tag: u8,
+    seq: u64,
+    id: InstanceId,
+    class: ClassId,
+    hash: CodeHash,
+    opened: Option<&TopologicalInvariant>,
+) {
+    enc.u8(tag);
+    enc.u64(seq);
+    enc.u64(id as u64);
+    enc.u64(class as u64);
+    enc.u64(hash.as_u64());
+    enc.u8(opened.is_some() as u8);
+    if let Some(rep) = opened {
+        encode_invariant(enc, rep);
     }
+}
 
-    /// Appends a removal record; called with the write locks held.
-    pub(crate) fn wal_remove(&self, id: InstanceId) {
-        let Some(persistence) = &self.persistence else { return };
-        let seq = persistence.seq.fetch_add(1, Ordering::SeqCst);
-        let mut enc = Enc::new();
-        enc.u8(TAG_REMOVE);
-        enc.u64(seq);
-        enc.u64(id as u64);
-        self.append_framed(persistence, &enc.buf);
-    }
+/// A decoded class record: `(id, class, code_hash, opened representative)`.
+type ClassRecord = (InstanceId, ClassId, CodeHash, Option<TopologicalInvariant>);
 
-    fn append_framed(&self, persistence: &Persistence, payload: &[u8]) {
-        if persistence.broken.load(Ordering::SeqCst) {
-            self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        match persistence.backend.append_wal(&frame(payload)) {
-            Ok(()) => {
-                self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                persistence.broken.store(true, Ordering::SeqCst);
-                self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+/// The one class-record decoder, reading the fields after `tag, seq`.
+fn decode_class_record(dec: &mut Dec<'_>) -> Result<ClassRecord, PersistError> {
+    let id = dec.u64("wal record id")? as usize;
+    let class = dec.u64("wal record class")? as usize;
+    let hash = CodeHash::from_u64(dec.u64("wal record hash")?);
+    let opened = match dec.u8("wal new-class flag")? {
+        0 => None,
+        1 => Some(decode_invariant(dec)?),
+        other => return Err(PersistError::Corrupt(format!("bad new-class flag {other}"))),
+    };
+    Ok((id, class, hash, opened))
 }
 
 fn encode_snapshot(seq: u64, classes: &ClassTable, instances: &InstanceTable) -> Vec<u8> {
@@ -901,63 +882,53 @@ fn decode_snapshot(
             "slot counts {class_slots}/{instance_slots} exceed snapshot seq {seq}"
         )));
     }
-    classes.reps = filled_table(class_slots, None)?;
-    classes.hashes = filled_table(class_slots, CodeHash::from_u64(0))?;
-    classes.members = filled_table(class_slots, Vec::new())?;
-    instances.slots = filled_table(instance_slots, None)?;
+    let class_slots = usize::try_from(class_slots).unwrap_or(usize::MAX);
+    let instance_slots = usize::try_from(instance_slots).unwrap_or(usize::MAX);
 
-    let live_classes = dec.u64("live class count")? as usize;
+    // `encode_snapshot` lists classes and instances in ascending id order,
+    // so each id must lie above the last one loaded: a repeated or
+    // out-of-order id is corrupt, never a second placement.
+    let live_classes = dec.u64("live class count")?;
     for _ in 0..live_classes {
         let class = dec.u64("class id")? as usize;
-        if class >= classes.reps.len() {
-            return Err(PersistError::Corrupt(format!("class id {class} out of range")));
+        if class < classes.reps.len() || class >= class_slots {
+            return Err(PersistError::Corrupt(format!(
+                "class id {class} out of order or out of range"
+            )));
         }
         let hash = CodeHash::from_u64(dec.u64("class code hash")?);
         let invariant = decode_invariant(&mut dec)?;
-        classes.reps[class] = Some(Arc::new(invariant));
-        classes.hashes[class] = hash;
-        classes.by_hash.entry(hash).or_default().push(class);
-        classes.live += 1;
+        classes.retire_to(class)?;
+        classes.open(hash, Arc::new(invariant));
     }
+    classes.retire_to(class_slots)?;
 
-    let live_instances = dec.u64("live instance count")? as usize;
+    let live_instances = dec.u64("live instance count")?;
     for _ in 0..live_instances {
         let id = dec.u64("instance id")? as usize;
         let class = dec.u64("instance class")? as usize;
-        if id >= instances.slots.len() {
-            return Err(PersistError::Corrupt(format!("instance id {id} out of range")));
+        if id < instances.slots.len() || id >= instance_slots {
+            return Err(PersistError::Corrupt(format!(
+                "instance id {id} out of order or out of range"
+            )));
         }
-        if classes.reps.get(class).map(Option::is_some) != Some(true) {
+        if !classes.is_live(class) {
             return Err(PersistError::Corrupt(format!(
                 "instance {id} references dead or unknown class {class}"
             )));
         }
-        instances.slots[id] = Some(class);
-        classes.members[class].push(id);
-        instances.live += 1;
+        instances.retire_to(id)?;
+        classes.attach(instances, id, class);
     }
-    // Snapshot wrote instances in id order, so member lists are sorted in
-    // ingest order exactly as the live store kept them.
+    instances.retire_to(instance_slots)?;
     if !dec.done() {
         return Err(PersistError::Corrupt("trailing bytes inside snapshot body".into()));
     }
     Ok(seq)
 }
 
-/// A table of `count` copies of `fill`, for a slot count read from disk: an
-/// allocation the platform refuses is a corrupt count, not an abort.
-fn filled_table<T: Clone>(count: u64, fill: T) -> Result<Vec<T>, PersistError> {
-    let len = usize::try_from(count).unwrap_or(usize::MAX);
-    let mut table = Vec::new();
-    table
-        .try_reserve_exact(len)
-        .map_err(|_| PersistError::Corrupt(format!("cannot allocate a table of {count} slots")))?;
-    table.resize(len, fill);
-    Ok(table)
-}
-
-/// Applies one checksum-valid WAL payload to the recovering tables; records
-/// predating the snapshot seq are skipped.
+/// Applies one checksum-valid WAL payload to the recovering tables;
+/// records predating the snapshot seq are skipped.
 fn apply_wal_record(
     payload: &[u8],
     snapshot_seq: u64,
@@ -970,139 +941,28 @@ fn apply_wal_record(
     let tag = dec.u8("wal record tag")?;
     let seq = dec.u64("wal record seq")?;
     match tag {
-        TAG_INGEST => {
-            let id = dec.u64("wal ingest id")? as usize;
-            let class = dec.u64("wal ingest class")? as usize;
-            let hash = CodeHash::from_u64(dec.u64("wal ingest hash")?);
-            let new_class = match dec.u8("wal new-class flag")? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(PersistError::Corrupt(format!("bad new-class flag {other}")));
-                }
-            };
-            let invariant = if new_class { Some(decode_invariant(&mut dec)?) } else { None };
+        TAG_INGEST | TAG_UPDATE => {
+            let record = decode_class_record(&mut dec)?;
             if seq < snapshot_seq {
                 // Already folded into the snapshot (a crash landed between
                 // snapshot write and WAL reset).
                 return Ok(());
             }
-            if new_class {
-                if class > classes.reps.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal creates class {class} beyond table end {}",
-                        classes.reps.len()
-                    )));
-                }
-                if class == classes.reps.len() {
-                    classes.reps.push(None);
-                    classes.hashes.push(CodeHash::from_u64(0));
-                    classes.members.push(Vec::new());
-                }
-                if classes.reps[class].is_some() {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal re-creates live class {class}"
-                    )));
-                }
-                classes.reps[class] =
-                    Some(Arc::new(invariant.expect("decoded above when new_class")));
-                classes.hashes[class] = hash;
-                classes.by_hash.entry(hash).or_default().push(class);
-                classes.live += 1;
-            } else if classes.reps.get(class).map(Option::is_some) != Some(true) {
-                return Err(PersistError::Corrupt(format!(
-                    "wal ingest {id} references dead or unknown class {class}"
-                )));
-            }
-            if id != instances.slots.len() {
-                return Err(PersistError::Corrupt(format!(
-                    "wal ingest id {id} is not dense (next slot is {})",
-                    instances.slots.len()
-                )));
-            }
-            instances.slots.push(Some(class));
-            instances.live += 1;
-            classes.members[class].push(id);
-        }
-        TAG_UPDATE => {
-            let id = dec.u64("wal update id")? as usize;
-            let class = dec.u64("wal update class")? as usize;
-            let hash = CodeHash::from_u64(dec.u64("wal update hash")?);
-            let new_class = match dec.u8("wal new-class flag")? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(PersistError::Corrupt(format!("bad new-class flag {other}")));
-                }
-            };
-            let invariant = if new_class { Some(decode_invariant(&mut dec)?) } else { None };
-            if seq < snapshot_seq {
-                return Ok(());
-            }
-            let current = instances.slots.get(id).copied().flatten();
-            if current.is_none() {
-                return Err(PersistError::Corrupt(format!(
-                    "wal updates unknown or removed instance {id}"
-                )));
-            }
-            if current != Some(class) {
-                // Detach from the old class (collecting it if emptied), then
-                // attach to the target — exactly the live transition.
-                let (_, collected) = gc::remove_from_tables(classes, instances, id)
-                    .expect("slot checked live above");
-                if collected {
-                    counters.gc_classes.fetch_add(1, Ordering::Relaxed);
-                }
-                if new_class {
-                    if class > classes.reps.len() {
-                        return Err(PersistError::Corrupt(format!(
-                            "wal creates class {class} beyond table end {}",
-                            classes.reps.len()
-                        )));
-                    }
-                    if class == classes.reps.len() {
-                        classes.reps.push(None);
-                        classes.hashes.push(CodeHash::from_u64(0));
-                        classes.members.push(Vec::new());
-                    }
-                    if classes.reps[class].is_some() {
-                        return Err(PersistError::Corrupt(format!(
-                            "wal re-creates live class {class}"
-                        )));
-                    }
-                    classes.reps[class] =
-                        Some(Arc::new(invariant.expect("decoded above when new_class")));
-                    classes.hashes[class] = hash;
-                    classes.by_hash.entry(hash).or_default().push(class);
-                    classes.live += 1;
-                } else if classes.reps.get(class).map(Option::is_some) != Some(true) {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal update of {id} references dead or unknown class {class}"
-                    )));
-                }
-                instances.slots[id] = Some(class);
-                instances.live += 1;
-                crate::update::attach_member(classes, class, id);
-            }
-            counters.updates.fetch_add(1, Ordering::Relaxed);
+            replay_placement(tag == TAG_UPDATE, record, classes, instances, counters)?;
         }
         TAG_REMOVE => {
             let id = dec.u64("wal remove id")? as usize;
             if seq < snapshot_seq {
                 return Ok(());
             }
-            match gc::remove_from_tables(classes, instances, id) {
-                None => {
-                    return Err(PersistError::Corrupt(format!(
-                        "wal removes unknown or already-removed instance {id}"
-                    )));
-                }
-                Some((_, collected)) => {
-                    counters.removals.fetch_add(1, Ordering::Relaxed);
-                    if collected {
-                        counters.gc_classes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            let Some((_, collected)) = classes.detach(instances, id) else {
+                return Err(PersistError::Corrupt(format!(
+                    "wal removes unknown or already-removed instance {id}"
+                )));
+            };
+            counters.removals.fetch_add(1, Ordering::Relaxed);
+            if collected {
+                counters.gc_classes.fetch_add(1, Ordering::Relaxed);
             }
         }
         other => {
@@ -1114,9 +974,196 @@ fn apply_wal_record(
     Ok(())
 }
 
+/// Replays a class record through the transitions the live ingest or
+/// update took. A record the live store could not have written is corrupt:
+/// an ingest must take the next instance id, a new class the next class id,
+/// and any other placement a live class.
+fn replay_placement(
+    update: bool,
+    (id, class, hash, opened): ClassRecord,
+    classes: &mut ClassTable,
+    instances: &mut InstanceTable,
+    counters: &crate::Counters,
+) -> Result<(), PersistError> {
+    if update {
+        let Some(current) = instances.slots.get(id).copied().flatten() else {
+            return Err(PersistError::Corrupt(format!(
+                "wal updates unknown or removed instance {id}"
+            )));
+        };
+        counters.updates.fetch_add(1, Ordering::Relaxed);
+        if current == class && opened.is_none() {
+            return Ok(()); // a no-op update
+        }
+        if classes.detach(instances, id).is_some_and(|(_, collected)| collected) {
+            counters.gc_classes.fetch_add(1, Ordering::Relaxed);
+        }
+    } else if id != instances.slots.len() {
+        return Err(PersistError::Corrupt(format!(
+            "wal ingest id {id} is not dense (next slot is {})",
+            instances.slots.len()
+        )));
+    }
+    match opened {
+        Some(rep) if class == classes.reps.len() => {
+            classes.open(hash, Arc::new(rep));
+        }
+        Some(_) => {
+            return Err(PersistError::Corrupt(format!(
+                "wal opens class {class}, but the next class id is {}",
+                classes.reps.len()
+            )));
+        }
+        None if !classes.is_live(class) => {
+            return Err(PersistError::Corrupt(format!(
+                "wal places {id} in dead or unknown class {class}"
+            )));
+        }
+        None => {}
+    }
+    classes.attach(instances, id, class);
+    Ok(())
+}
+
 #[cfg(test)]
 mod persist_tests {
     use super::*;
+    use topo_invariant::top;
+    use topo_spatial::{Region, SpatialInstance};
+
+    /// Two non-isomorphic invariants: one disk, and two disjoint disks.
+    fn disk_and_pair() -> (Arc<TopologicalInvariant>, Arc<TopologicalInvariant>) {
+        let disk = SpatialInstance::from_regions([("a", Region::rectangle(0, 0, 10, 10))]);
+        let pair = SpatialInstance::from_regions([
+            ("a", Region::rectangle(0, 0, 10, 10)),
+            ("b", Region::rectangle(20, 0, 30, 10)),
+        ]);
+        (Arc::new(top(&disk)), Arc::new(top(&pair)))
+    }
+
+    fn logged_store() -> (InvariantStore, Arc<MemoryBackend>) {
+        let backend = MemoryBackend::new();
+        (InvariantStore::open(StoreConfig::default(), backend.clone()).unwrap(), backend)
+    }
+
+    /// A class record payload built with the store's own encoder.
+    fn class_record(
+        tag: u8,
+        seq: u64,
+        id: InstanceId,
+        class: ClassId,
+        rep: &TopologicalInvariant,
+        new_class: bool,
+    ) -> Vec<u8> {
+        let mut enc = Enc::new();
+        encode_class_record(
+            &mut enc,
+            tag,
+            seq,
+            id,
+            class,
+            rep.code_hash(),
+            new_class.then_some(rep),
+        );
+        enc.buf
+    }
+
+    /// Reopens `backend` with `payload` appended to its WAL as one frame.
+    fn reopen_with(
+        backend: &Arc<MemoryBackend>,
+        payload: &[u8],
+    ) -> Result<InvariantStore, PersistError> {
+        let copy = MemoryBackend::new();
+        copy.set_snapshot_bytes(backend.snapshot_bytes());
+        copy.set_wal_bytes([backend.wal_bytes(), frame(payload)].concat());
+        InvariantStore::open(StoreConfig::default(), copy)
+    }
+
+    /// A snapshot listing `classes` and `instances` verbatim, in the layout
+    /// `encode_snapshot` writes, over 4 class and 4 instance slots.
+    fn forged_snapshot(
+        classes: &[(u64, &TopologicalInvariant)],
+        instances: &[(u64, u64)],
+    ) -> Vec<u8> {
+        let mut body = Enc::new();
+        for word in [8, 4, 4, classes.len() as u64] {
+            body.u64(word);
+        }
+        for &(class, rep) in classes {
+            body.u64(class);
+            body.u64(rep.code_hash().as_u64());
+            encode_invariant(&mut body, rep);
+        }
+        body.u64(instances.len() as u64);
+        for &(id, class) in instances {
+            body.u64(id);
+            body.u64(class);
+        }
+        [&SNAPSHOT_MAGIC[..], &FORMAT_VERSION.to_le_bytes(), &frame(&body.buf)].concat()
+    }
+
+    fn open_snapshot(snapshot: Vec<u8>) -> Result<InvariantStore, PersistError> {
+        let backend = MemoryBackend::new();
+        backend.set_snapshot_bytes(Some(snapshot));
+        InvariantStore::open(StoreConfig::default(), backend)
+    }
+
+    #[test]
+    fn replay_opens_only_the_next_class_id() {
+        let (disk, pair) = disk_and_pair();
+        let (store, backend) = logged_store();
+        store.ingest_invariant(disk); // id 0, class 0
+        store.ingest_invariant(pair.clone()); // id 1, class 1
+        assert!(store.remove_instance(1)); // collects class 1
+                                           // Instance 2 opening the collected class 1 would reuse a class id.
+        let reused = class_record(TAG_INGEST, 3, 2, 1, &pair, true);
+        assert!(matches!(reopen_with(&backend, &reused), Err(PersistError::Corrupt(_))));
+        // The record the live store writes opens class 2.
+        let next = class_record(TAG_INGEST, 3, 2, 2, &pair, true);
+        let reopened = reopen_with(&backend, &next).unwrap();
+        assert_eq!(reopened.class_of(2), Some(2));
+        assert_eq!(reopened.class_count(), 2);
+    }
+
+    #[test]
+    fn replay_rejects_a_no_op_update_that_opens_a_class() {
+        let (disk, _) = disk_and_pair();
+        let (store, backend) = logged_store();
+        store.ingest_invariant(disk.clone()); // id 0, class 0
+                                              // An update to the instance's own class opens nothing; a record
+                                              // that claims to would silently drop its invariant.
+        let opening = class_record(TAG_UPDATE, 1, 0, 0, &disk, true);
+        assert!(matches!(reopen_with(&backend, &opening), Err(PersistError::Corrupt(_))));
+        let no_op = class_record(TAG_UPDATE, 1, 0, 0, &disk, false);
+        let reopened = reopen_with(&backend, &no_op).unwrap();
+        assert_eq!(reopened.class_members(0), Some(vec![0]));
+        assert_eq!(reopened.stats().updates, 1);
+    }
+
+    #[test]
+    fn snapshot_instance_ids_must_ascend() {
+        let (disk, _) = disk_and_pair();
+        let store = open_snapshot(forged_snapshot(&[(0, &disk)], &[(0, 0), (2, 0)])).unwrap();
+        assert_eq!(store.instance_count(), 2);
+        assert_eq!(store.class_members(0), Some(vec![0, 2]));
+        for repeated_or_descending in [[(0, 0), (0, 0)], [(2, 0), (0, 0)]] {
+            let snapshot = forged_snapshot(&[(0, &disk)], &repeated_or_descending);
+            assert!(matches!(open_snapshot(snapshot), Err(PersistError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn snapshot_class_ids_must_ascend() {
+        let (disk, pair) = disk_and_pair();
+        let store =
+            open_snapshot(forged_snapshot(&[(1, &disk), (3, &pair)], &[(0, 1), (1, 3)])).unwrap();
+        assert_eq!(store.class_count(), 2);
+        assert_eq!(store.classes(), vec![vec![0], vec![1]]);
+        let repeated = forged_snapshot(&[(0, &disk), (0, &disk)], &[(0, 0)]);
+        assert!(matches!(open_snapshot(repeated), Err(PersistError::Corrupt(_))));
+        let descending = forged_snapshot(&[(3, &pair), (1, &disk)], &[(0, 1), (1, 3)]);
+        assert!(matches!(open_snapshot(descending), Err(PersistError::Corrupt(_))));
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -21,16 +21,7 @@ use std::sync::Arc;
 
 use topo_invariant::TopologicalInvariant;
 
-use crate::{gc, write_recover, ClassTable, IngestOutcome, InstanceId, InvariantStore};
-
-/// Inserts `id` into a class member list keeping the list sorted by
-/// instance id — the order ingests produce and snapshots preserve, so a
-/// recovered store is bit-identical to the live one even after updates.
-pub(crate) fn attach_member(classes: &mut ClassTable, class: usize, id: InstanceId) {
-    let members = &mut classes.members[class];
-    let pos = members.partition_point(|&m| m < id);
-    members.insert(pos, id);
-}
+use crate::{persist::TAG_UPDATE, write_recover, IngestOutcome, InstanceId, InvariantStore};
 
 impl InvariantStore {
     /// Re-points a live instance at the class of `invariant`, deduplicating
@@ -81,9 +72,7 @@ impl InvariantStore {
                 // to the old one. Log it anyway — replay needs the record to
                 // reproduce the (idempotent) transition and the seq stream.
                 self.counters.updates.fetch_add(1, Ordering::Relaxed);
-                if self.persistence.is_some() {
-                    self.wal_update(&classes, id, old_class, false);
-                }
+                self.wal_place(TAG_UPDATE, &classes, &[(id, old_class, false)]);
                 return Some(IngestOutcome::Deduplicated(id));
             }
             if located.is_none() {
@@ -97,38 +86,18 @@ impl InvariantStore {
                 }
             }
 
-            let (_, collected) = gc::remove_from_tables(&mut classes, &mut instances, id)
-                .expect("slot checked live above");
-            let (class, admitted) = match located {
-                Some(class) => (class, false),
-                None => {
-                    let class = classes.reps.len();
-                    classes.reps.push(Some(invariant));
-                    classes.hashes.push(hash);
-                    classes.members.push(Vec::new());
-                    classes.by_hash.entry(hash).or_default().push(class);
-                    classes.live += 1;
-                    (class, true)
-                }
-            };
-            instances.slots[id] = Some(class);
-            instances.live += 1;
-            attach_member(&mut classes, class, id);
+            let (_, collected) =
+                classes.detach(&mut instances, id).expect("slot checked live above");
+            let class = located.unwrap_or_else(|| classes.open(hash, invariant));
+            classes.attach(&mut instances, id, class);
             self.counters.updates.fetch_add(1, Ordering::Relaxed);
             if collected {
                 self.counters.gc_classes.fetch_add(1, Ordering::Relaxed);
             }
-            if self.persistence.is_some() {
-                // One record for the whole transition, appended while both
-                // locks are held so WAL order stays operation order.
-                self.wal_update(&classes, id, class, admitted);
-            }
-            let outcome = if admitted {
-                IngestOutcome::Admitted(id)
-            } else {
-                IngestOutcome::Deduplicated(id)
-            };
-            (outcome, collected.then_some(old_class))
+            // One record for the whole transition, appended while both
+            // locks are held so WAL order stays operation order.
+            self.wal_place(TAG_UPDATE, &classes, &[(id, class, located.is_none())]);
+            (IngestOutcome::placed(id, located.is_none()), collected.then_some(old_class))
         };
         // Memo purge outside the table locks, as everywhere (see `gc`).
         if let Some(class) = purge {

@@ -3,12 +3,15 @@
 //! with a correct CRC-32, and handed to `InvariantStore::open`. The outcome
 //! must be `Ok` or `Err` — never a panic — and a store that opens must
 //! answer queries, report its classes, checkpoint and reopen without
-//! panicking either. Every class representative of an opened store is also
-//! driven through every public accessor that walks the stored cells (cones,
-//! face boundaries, boundary walks, half-edge steps, the relational export):
-//! input that would make one of them panic must already be an `Err` from
+//! panicking either, and its tables must agree with each other before and
+//! after that reopen (see `assert_tables_agree`). Every class
+//! representative of an opened store is also driven through every public
+//! accessor that walks the stored cells (cones, face boundaries, boundary
+//! walks, half-edge steps, the relational export): input that would make
+//! one of them panic must already be an `Err` from
 //! `TopologicalInvariant::from_parts`.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use topo_core::datagen::{figure1, nested_rings, scattered_islands, sequoia_hydro, Scale};
@@ -149,15 +152,47 @@ fn exercise_accessors(inv: &TopologicalInvariant) {
     let _ = inv.to_structure();
 }
 
+/// Asserts that an opened store's tables agree with each other, checking
+/// every instance and class id below `slots`: the live instance count is
+/// the number of ids with a class, each live class's member list is
+/// strictly ascending and names exactly the ids whose class it is, no id
+/// points at a dead class, and the live class count is the number of
+/// classes with a representative.
+fn assert_tables_agree(store: &InvariantStore, slots: usize) {
+    let mut by_class: HashMap<usize, Vec<usize>> = HashMap::new();
+    for id in 0..slots {
+        if let Some(class) = store.class_of(id) {
+            by_class.entry(class).or_default().push(id);
+        }
+    }
+    assert_eq!(store.instance_count(), by_class.values().map(Vec::len).sum::<usize>());
+    let mut live = 0;
+    for class in 0..slots {
+        let Some(members) = store.class_members(class) else { continue };
+        assert!(store.class_representative(class).is_some(), "class {class} has no representative");
+        assert!(members.windows(2).all(|w| w[0] < w[1]), "members of {class}: {members:?}");
+        assert_eq!(members, by_class.remove(&class).unwrap_or_default(), "members of {class}");
+        live += 1;
+    }
+    assert!(by_class.is_empty(), "instances in dead classes: {by_class:?}");
+    assert_eq!(store.class_count(), live);
+}
+
 /// Opens a store over the given durable bytes; if it opens, drives it
-/// through reads, a checkpoint and a reopen. Returns whether it opened.
+/// through reads, a checkpoint and a reopen, checking that its tables agree
+/// before the checkpoint and after the reopen. Returns whether it opened.
 fn open_and_exercise(snapshot: Vec<u8>, wal: Vec<u8>) -> bool {
+    // Every id lies below the snapshot's slot counts plus one per WAL
+    // record (an ingest or a new class takes exactly the next id).
+    let body = &snapshot[12..snapshot.len() - 4];
+    let slots = declared_slots(body).1 as usize + payloads(&wal).len();
     let backend = MemoryBackend::new();
     backend.set_snapshot_bytes(Some(snapshot));
     backend.set_wal_bytes(wal);
     let Ok(store) = InvariantStore::open(StoreConfig::default(), backend.clone()) else {
         return false;
     };
+    assert_tables_agree(&store, slots);
     let classes = store.classes();
     for class in 0..classes.len() + 2 {
         if let Some(rep) = store.class_representative(class) {
@@ -174,6 +209,7 @@ fn open_and_exercise(snapshot: Vec<u8>, wal: Vec<u8>) -> bool {
     let reopened = InvariantStore::open(StoreConfig::default(), backend)
         .expect("a checkpoint of an opened store reopens");
     assert_eq!(reopened.classes(), classes);
+    assert_tables_agree(&reopened, slots);
     true
 }
 

@@ -51,13 +51,22 @@ fn golden_invariants() -> Vec<Arc<TopologicalInvariant>> {
 /// Drives the fixed script and returns the three durable streams: the WAL
 /// before the checkpoint, the snapshot, and the WAL after it.
 fn golden_streams() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    golden_script(|store, first_seven| {
+        for invariant in &first_seven[..6] {
+            store.ingest_invariant(invariant.clone());
+        }
+        store.ingest_invariant(first_seven[6].clone()); // copy of map 0
+    })
+}
+
+/// The fixed script, with its first seven ingests made by `ingest`.
+fn golden_script(
+    ingest: impl FnOnce(&InvariantStore, &[Arc<TopologicalInvariant>]),
+) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let pool = golden_invariants();
     let backend = MemoryBackend::new();
     let store = InvariantStore::open(StoreConfig::default(), backend.clone()).unwrap();
-    for invariant in &pool[..6] {
-        store.ingest_invariant(invariant.clone());
-    }
-    store.ingest_invariant(pool[6].clone()); // copy of map 0
+    ingest(&store, &pool[..7]);
     store.remove_instance(1); // collects the hydro class
     store.update_instance(2, pool[3].clone()); // city → figure1's class
     let wal_before = backend.wal_bytes();
@@ -77,6 +86,22 @@ fn durable_streams_are_byte_identical_to_the_recorded_format() {
     assert_eq!(digest(&wal_before), (14_624, 1_270_365_175), "WAL before checkpoint");
     assert_eq!(digest(&snapshot), (3_917, 3_053_135_030), "snapshot");
     assert_eq!(digest(&wal_after), (10_713, 1_446_944_662), "WAL after checkpoint");
+}
+
+/// A single ingest is a batch of one, and a batch writes the records its
+/// ingests would write one at a time: the golden script with its first
+/// seven ingests in one batch writes the golden bytes.
+#[test]
+fn one_batch_writes_the_same_streams_as_single_ingests() {
+    let batched = golden_script(|store, first_seven| {
+        let outcomes = store.try_ingest_invariant_batch(first_seven);
+        let ids: Vec<_> = outcomes.iter().map(|outcome| outcome.id()).collect();
+        assert_eq!(ids, (0..7).map(Some).collect::<Vec<_>>());
+    });
+    let (wal_before, snapshot, wal_after) = golden_streams();
+    assert!(batched.0 == wal_before, "WAL before checkpoint");
+    assert!(batched.1 == snapshot, "snapshot");
+    assert!(batched.2 == wal_after, "WAL after checkpoint");
 }
 
 #[test]
