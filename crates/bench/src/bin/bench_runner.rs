@@ -1,15 +1,17 @@
 //! Machine-readable perf baseline runner.
 //!
 //! Runs the stages in [`STAGES`] (construction and canonicalisation, datalog,
-//! demand, store, recovery, parallel, incremental; each documented on its
-//! stage function) on the seeded cartographic workloads, against the frozen
-//! reference paths where they exist, and writes every median with the
-//! sample count behind it to one JSON record, so every perf PR has a
-//! recorded trajectory to beat.
+//! demand, parallel; each documented on its stage function) on the seeded
+//! cartographic workloads, against the frozen reference paths where they
+//! exist, and writes every median with the sample count behind it to one
+//! JSON record. These are the measurements nothing else makes: the
+//! optimised paths against their frozen naive oracles, and the pool-size
+//! sweep of batch ingest. The service paths (ingest, query, edit, recovery)
+//! are timed by `perfbench`, and the paper's tables by `experiments`.
 //!
-//! `BENCH_10.json` at the repository root is the committed baseline;
-//! `BENCH_2.json`…`BENCH_9.json` record the earlier trajectory and
-//! BENCHMARKS.md tabulates it. See DESIGN.md for what each stage measures.
+//! `BENCH_2.json`…`BENCH_10.json` at the repository root record the
+//! trajectory so far, and BENCHMARKS.md tabulates it; a full run writes
+//! `BENCH_16.json`. See DESIGN.md for what each stage measures.
 //!
 //! ```text
 //! bench_runner [--quick] [--stage NAME]... [--out PATH]
@@ -17,7 +19,7 @@
 //!
 //! `--quick` drops the sample count and skips the reference canonicalisation
 //! on the scales where it is intractable (for CI smoke coverage); the default
-//! sample count matches the committed baseline. `--stage` (repeatable)
+//! sample count matches the committed records. `--stage` (repeatable)
 //! restricts the run to the named stages, and the record's `stages_run`
 //! lists the stages it holds. Any other argument, or a flag without its
 //! value, exits 2 with the usage line. Requires the `naive-reference`
@@ -28,18 +30,15 @@
 //!     --bin bench_runner -- --quick --stage demand --out BENCH_ci.json
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
 use topo_bench::{json_obj, median_ns, median_ns_with, Json};
 use topo_core::relational::datalog::naive as datalog_naive;
 use topo_core::relational::Term;
 use topo_core::spatial::transform::AffineMap;
 use topo_core::{
     datalog_program, program_structure, quadratic_connectivity_program, Goal, InvariantStore,
-    MaintainedInvariant, MemoryBackend, Region, Semantics, SpatialInstance, StoreConfig,
-    SweepStats, TopologicalInvariant, TopologicalQuery,
+    Semantics, SpatialInstance, SweepStats, TopologicalInvariant, TopologicalQuery,
 };
-use topo_datagen::{figure1, ign_city, nested_rings, sequoia_hydro, sequoia_landcover, Scale};
+use topo_datagen::{ign_city, sequoia_hydro, sequoia_landcover, Scale};
 
 const FULL_SAMPLES: usize = 15;
 const QUICK_SAMPLES: usize = 5;
@@ -60,22 +59,9 @@ const CACHED_REPS: u32 = 1024;
 /// spending minutes per sample on it.
 const NAIVE_DATALOG_BUDGET_NS: u128 = 1_500_000_000;
 const NAIVE_DATALOG_BUDGET_QUICK_NS: u128 = 400_000_000;
-/// Store stage: ingest and query thread counts for the scoped-thread sweeps.
-const STORE_INGEST_THREADS: usize = 8;
-const STORE_QUERY_THREADS: usize = 8;
-/// Homeomorphic copies per base topology in the duplicate-heavy store mix.
-const STORE_COPIES: usize = 100;
-const STORE_COPIES_QUICK: usize = 20;
-/// Full passes over every (instance, query) pair each query thread makes.
-const STORE_QUERY_ROUNDS: usize = 2;
-const STORE_QUERY_ROUNDS_QUICK: usize = 1;
 /// Pool sizes the parallel stage sweeps (1 is the sequential fallback and the
 /// baseline every speedup is measured against).
 const PARALLEL_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Scales for the incremental-maintenance stage: a small grid where full
-/// rebuilds are cheap (the honest case for incremental repair) and a medium
-/// grid where they are not.
-const INCREMENTAL_GRIDS: [usize; 2] = [4, 16];
 /// A seeded cartographic generator, by grid size.
 type Generator = fn(usize) -> SpatialInstance;
 /// The seeded cartographic workloads every per-workload stage runs on.
@@ -379,322 +365,6 @@ fn measure_datalog(gen: Generator, samples: usize, quick: bool) -> Vec<DatalogSc
     out
 }
 
-/// The invariant-store service stage: a duplicate-heavy mixed workload
-/// ingested and queried from scoped threads.
-struct StoreReport {
-    instances: usize,
-    classes: usize,
-    bases: usize,
-    ingest_ns: u128,
-    /// Queries issued per sweep (threads × rounds × instances × mix size).
-    queries: usize,
-    /// The first sweep on the memoising store, which fills the memo.
-    memo_ns: u128,
-    /// A second sweep on the same store: every answer is a hit.
-    memo_warm_ns: u128,
-    /// Hit rate after the first sweep.
-    memo_hit_rate: f64,
-    nomemo_ns: u128,
-    dedup_hits: u64,
-}
-
-impl StoreReport {
-    fn qps(&self, sweep_ns: u128) -> f64 {
-        per_sec(self.queries, sweep_ns)
-    }
-
-    fn memo_speedup(&self) -> f64 {
-        self.qps(self.memo_ns) / self.qps(self.nomemo_ns)
-    }
-
-    fn to_json(&self) -> Json {
-        json_obj! {
-            "instances" => self.instances,
-            "bases" => self.bases,
-            "classes" => self.classes,
-            "dedup_hits" => self.dedup_hits,
-            "ingest_threads" => STORE_INGEST_THREADS,
-            "query_threads" => STORE_QUERY_THREADS,
-            "ingest_ns" => self.ingest_ns,
-            "ingest_instances_per_sec" => per_sec(self.instances, self.ingest_ns),
-            "queries_per_sweep" => self.queries,
-            "memo_sweep_ns" => self.memo_ns,
-            "memo_queries_per_sec" => self.qps(self.memo_ns),
-            "memo_warm_sweep_ns" => self.memo_warm_ns,
-            "memo_warm_queries_per_sec" => self.qps(self.memo_warm_ns),
-            "memo_hit_rate" => self.memo_hit_rate,
-            "nomemo_sweep_ns" => self.nomemo_ns,
-            "nomemo_queries_per_sec" => self.qps(self.nomemo_ns),
-            "memo_speedup" => self.memo_speedup(),
-        }
-    }
-}
-
-fn per_sec(count: usize, ns: u128) -> f64 {
-    count as f64 / (ns as f64 / 1e9)
-}
-
-/// The store mix: the three cartographic generators over two seeds and three
-/// small grids, plus the running examples, each repeated under `copies`
-/// homeomorphic images (translation / rotation / reflection round-robin).
-/// Copy-major order spreads the duplicates across the ingest stream, the way
-/// a service would see them arrive.
-fn store_workload(quick: bool) -> (usize, Vec<SpatialInstance>) {
-    let copies = if quick { STORE_COPIES_QUICK } else { STORE_COPIES };
-    let mut bases: Vec<SpatialInstance> = Vec::new();
-    for seed in [1u64, 7] {
-        for grid in [3usize, 4, 5] {
-            let scale = Scale { grid };
-            bases.push(sequoia_landcover(scale, seed));
-            bases.push(sequoia_hydro(scale, seed));
-            bases.push(ign_city(scale, seed));
-        }
-    }
-    bases.push(figure1());
-    bases.push(nested_rings(3, 2));
-    bases.push(nested_rings(2, 3));
-    (bases.len(), homeomorphic_copies(&bases, copies, (130_001, 70_003), 4))
-}
-
-/// `copies` homeomorphic images of every base, copy-major: copy `k` is
-/// translated by `(k × step.0, −k × step.1)`, then mapped round-robin by the
-/// first `variants` of identity, rotation, reflection and rotation ∘
-/// reflection.
-fn homeomorphic_copies(
-    bases: &[SpatialInstance],
-    copies: usize,
-    step: (i64, i64),
-    variants: i64,
-) -> Vec<SpatialInstance> {
-    let mut out = Vec::with_capacity(bases.len() * copies);
-    for k in 0..copies as i64 {
-        let shift = AffineMap::translation(k * step.0, -k * step.1);
-        let map = match k % variants {
-            1 => AffineMap::rotation90().compose(&shift),
-            2 => AffineMap::reflection_x().compose(&shift),
-            3 => AffineMap::rotation90().compose(&AffineMap::reflection_x()).compose(&shift),
-            _ => shift,
-        };
-        out.extend(bases.iter().map(|base| map.apply_instance(base)));
-    }
-    out
-}
-
-/// Ingests `instances` split across [`STORE_INGEST_THREADS`] scoped threads;
-/// returns the elapsed nanoseconds.
-fn ingest_concurrently(store: &InvariantStore, instances: &[SpatialInstance]) -> u128 {
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for slice in instances.chunks(instances.len().div_ceil(STORE_INGEST_THREADS)) {
-            s.spawn(move || {
-                for instance in slice {
-                    store.ingest(instance);
-                }
-            });
-        }
-    });
-    start.elapsed().as_nanos()
-}
-
-/// One timed sweep: every query thread walks every (instance, query) pair
-/// `rounds` times, staggered so threads touch different keys at any moment.
-fn store_query_sweep(
-    store: &InvariantStore,
-    instances: usize,
-    queries: &[TopologicalQuery],
-    rounds: usize,
-) -> u128 {
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..STORE_QUERY_THREADS {
-            s.spawn(move || {
-                for _ in 0..rounds {
-                    for step in 0..instances {
-                        let id = (step + t * 101) % instances;
-                        for query in queries {
-                            std::hint::black_box(store.query(id, query));
-                        }
-                    }
-                }
-            });
-        }
-    });
-    start.elapsed().as_nanos()
-}
-
-/// Measures the store stage. Ingest runs the full `top(I)` +
-/// canonicalisation + content-addressing pipeline per instance; the
-/// first-touch memo sweep fills the memo and the warm one only hits it.
-fn measure_store(quick: bool) -> StoreReport {
-    let (bases, instances) = store_workload(quick);
-    let queries = topo_bench::strategy_queries();
-    let rounds = if quick { STORE_QUERY_ROUNDS_QUICK } else { STORE_QUERY_ROUNDS };
-
-    let store = InvariantStore::default();
-    let ingest_ns = ingest_concurrently(&store, &instances);
-
-    let memo_ns = store_query_sweep(&store, instances.len(), &queries, rounds);
-    let stats = store.stats();
-    let memo_warm_ns = store_query_sweep(&store, instances.len(), &queries, rounds);
-
-    // The baseline store deduplicates identically but answers every query by
-    // evaluating on the class representative (ingested untimed).
-    let baseline = InvariantStore::new(StoreConfig::without_memo());
-    ingest_concurrently(&baseline, &instances);
-    let nomemo_ns = store_query_sweep(&baseline, instances.len(), &queries, rounds);
-
-    StoreReport {
-        instances: instances.len(),
-        classes: store.class_count(),
-        bases,
-        ingest_ns,
-        queries: STORE_QUERY_THREADS * rounds * instances.len() * queries.len(),
-        memo_ns,
-        memo_warm_ns,
-        memo_hit_rate: stats.hit_rate(),
-        nomemo_ns,
-        dedup_hits: stats.dedup_hits,
-    }
-}
-
-/// The durability stage at one workload size: snapshot write/load, WAL
-/// append and replay throughput, and end-to-end recovery time.
-struct RecoveryReport {
-    copies: usize,
-    instances: usize,
-    classes: usize,
-    wal_records: usize,
-    wal_bytes: usize,
-    ingest_log_ns: u128,
-    ingest_log_per_sec: f64,
-    wal_replay_ns: u128,
-    wal_replay_records_per_sec: f64,
-    snapshot_write_ns: u128,
-    snapshot_bytes: usize,
-    snapshot_load_ns: u128,
-    mixed_recover_ns: u128,
-    samples: usize,
-}
-
-impl RecoveryReport {
-    fn to_json(&self) -> Json {
-        json_obj! {
-            "copies" => self.copies,
-            "instances" => self.instances,
-            "classes" => self.classes,
-            "wal_records" => self.wal_records,
-            "wal_bytes" => self.wal_bytes,
-            "ingest_log_ns" => self.ingest_log_ns,
-            "ingest_log_per_sec" => self.ingest_log_per_sec,
-            "wal_replay_ns" => self.wal_replay_ns,
-            "wal_replay_records_per_sec" => self.wal_replay_records_per_sec,
-            "snapshot_write_ns" => self.snapshot_write_ns,
-            "snapshot_bytes" => self.snapshot_bytes,
-            "snapshot_load_ns" => self.snapshot_load_ns,
-            "mixed_recover_ns" => self.mixed_recover_ns,
-            "samples" => self.samples,
-        }
-    }
-}
-
-/// A compact duplicate-heavy invariant pool for the durability stage: six
-/// small bases, `copies` homeomorphic images each, pre-canonicalised so the
-/// timed sections measure the persistence layer rather than `top(I)`.
-fn persist_workload(copies: usize) -> Vec<Arc<TopologicalInvariant>> {
-    let scale = Scale { grid: 3 };
-    let bases = [
-        sequoia_landcover(scale, 1),
-        sequoia_hydro(scale, 1),
-        ign_city(scale, 1),
-        figure1(),
-        nested_rings(2, 2),
-        nested_rings(3, 2),
-    ];
-    let copies = homeomorphic_copies(&bases, copies, (91_003, 47_057), 3);
-    copies
-        .iter()
-        .map(|instance| {
-            let invariant = Arc::new(topo_core::top(instance));
-            invariant.canonical_code();
-            invariant
-        })
-        .collect()
-}
-
-/// Measures the snapshot + WAL durability layer at three workload sizes:
-/// WAL-logged ingest (append throughput), WAL-only recovery (replay
-/// throughput), checkpoint (snapshot write), snapshot-only recovery
-/// (snapshot load + decode) and a mixed snapshot + WAL recovery — all on
-/// the in-memory backend, so the medium costs nothing and the format and
-/// replay machinery are what is timed.
-fn measure_persist(quick: bool) -> Vec<RecoveryReport> {
-    let copies_list: [usize; 3] = if quick { [2, 4, 8] } else { [4, 10, 24] };
-    let samples = if quick { 3 } else { 7 };
-    let mut out = Vec::new();
-    for &copies in &copies_list {
-        let invariants = persist_workload(copies);
-
-        // WAL-logged ingest (codes pre-warmed: locking + content addressing
-        // + record encoding + append), plus a removal tail so the log holds
-        // the full operation vocabulary.
-        let backend = MemoryBackend::new();
-        let store = InvariantStore::open(StoreConfig::default(), backend.clone())
-            .expect("open empty store");
-        let start = Instant::now();
-        for invariant in &invariants {
-            store.ingest_invariant(invariant.clone());
-        }
-        let ingest_log_ns = start.elapsed().as_nanos();
-        for id in (0..invariants.len()).step_by(10) {
-            store.remove_instance(id);
-        }
-        let wal_records = invariants.len() + invariants.len().div_ceil(10);
-        let wal_bytes = backend.wal_bytes().len();
-
-        // WAL-only recovery: replay every record from an empty base state.
-        let wal_replay_ns = median_ns(samples, || {
-            InvariantStore::open(StoreConfig::default(), backend.clone()).expect("wal replay")
-        });
-
-        // Checkpoint: encode + write the snapshot (the first call also
-        // resets the WAL; later samples re-write the same state).
-        let snapshot_write_ns = median_ns(samples, || store.checkpoint().expect("checkpoint"));
-        let snapshot_bytes = backend.snapshot_bytes().map_or(0, |b| b.len());
-
-        // Snapshot-only recovery (the WAL is empty after the checkpoint).
-        let snapshot_load_ns = median_ns(samples, || {
-            InvariantStore::open(StoreConfig::default(), backend.clone()).expect("snapshot load")
-        });
-
-        // Mixed recovery: a second generation of ingests (all dedup hits)
-        // lands in the fresh WAL on top of the snapshot.
-        for invariant in &invariants {
-            store.ingest_invariant(invariant.clone());
-        }
-        let mixed_recover_ns = median_ns(samples, || {
-            InvariantStore::open(StoreConfig::default(), backend.clone()).expect("mixed recovery")
-        });
-
-        out.push(RecoveryReport {
-            copies,
-            instances: store.instance_count(),
-            classes: store.class_count(),
-            wal_records,
-            wal_bytes,
-            ingest_log_ns,
-            ingest_log_per_sec: per_sec(invariants.len(), ingest_log_ns),
-            wal_replay_ns,
-            wal_replay_records_per_sec: per_sec(wal_records, wal_replay_ns),
-            snapshot_write_ns,
-            snapshot_bytes,
-            snapshot_load_ns,
-            mixed_recover_ns,
-            samples,
-        });
-    }
-    out
-}
-
 /// The whole parallel stage: the sweep plus the context needed to read it.
 struct ParallelStage {
     host_threads: usize,
@@ -736,11 +406,16 @@ impl ParallelStage {
 /// JSON records how many cores the numbers were measured on.
 fn measure_parallel(quick: bool) -> ParallelStage {
     let samples = if quick { 3 } else { 5 };
-    // Homeomorphic copies of three small bases, so canonicalisation
-    // dominates and the dedup path is exercised.
+    // Eight translated copies of three small bases, copy-major, so
+    // canonicalisation dominates and the dedup path is exercised.
     let small = Scale { grid: 4 };
     let bases = [sequoia_landcover(small, SEED), sequoia_hydro(small, SEED), ign_city(small, SEED)];
-    let batch = homeomorphic_copies(&bases, 8, (130_001, 70_003), 1);
+    let batch: Vec<SpatialInstance> = (0..8i64)
+        .flat_map(|k| {
+            let shift = AffineMap::translation(k * 130_001, -k * 70_003);
+            bases.iter().map(move |base| shift.apply_instance(base))
+        })
+        .collect();
 
     let previous = topo_core::parallel::global_threads();
     let mut sweep = Vec::new();
@@ -912,129 +587,6 @@ fn measure_demand(gen: Generator, samples: usize, quick: bool) -> Vec<DemandScal
     out
 }
 
-/// The incremental-maintenance stage at one scale of one workload: the
-/// latency of a single-region edit round trip (remove one region, read the
-/// repaired canonical hash, re-insert it, read again) through
-/// [`MaintainedInvariant`], against the same state sequence via two cold
-/// `top(I)` rebuilds.
-struct IncrementalScaleReport {
-    grid: usize,
-    cells: usize,
-    regions: usize,
-    /// Median maintained round trip (two edits + two hash reads).
-    incremental_ns: u128,
-    /// Median cold round trip (two full `top` + canonicalisation runs).
-    rebuild_ns: u128,
-    samples: usize,
-    /// Maintenance-cache counters accumulated over the whole measurement —
-    /// the honesty record of how much work the repairs actually did.
-    stats: topo_core::MaintainStats,
-}
-
-impl IncrementalScaleReport {
-    fn speedup(&self) -> f64 {
-        self.rebuild_ns as f64 / self.incremental_ns as f64
-    }
-
-    fn to_json(&self) -> Json {
-        let stats = &self.stats;
-        json_obj! {
-            "grid" => self.grid,
-            "cells" => self.cells,
-            "regions" => self.regions,
-            "edit_round_trip_ns" => self.incremental_ns,
-            "rebuild_round_trip_ns" => self.rebuild_ns,
-            "speedup" => self.speedup(),
-            "samples_used" => self.samples,
-            "maintain_stats" => json_obj! {
-                "edits" => stats.edits,
-                "group_builds" => stats.group_builds,
-                "group_reuses" => stats.group_reuses,
-                "pair_computes" => stats.pair_computes,
-                "pair_reuses" => stats.pair_reuses,
-            },
-        }
-    }
-}
-
-/// Measures the incremental stage on one workload: per scale, a maintained
-/// instance absorbs remove + re-insert round trips (rotating over the
-/// regions) with the canonical hash read back after every edit, vs the two
-/// cold rebuilds the same state sequence costs without maintenance. One
-/// warm-up pass per region runs untimed, so the medians report the caches'
-/// steady state — the regime maintenance exists for; the cold baseline has
-/// no corresponding cache to warm.
-fn measure_incremental(gen: Generator, samples: usize) -> Vec<IncrementalScaleReport> {
-    let mut out = Vec::new();
-    for &grid in &INCREMENTAL_GRIDS {
-        let instance = gen(grid);
-        let regions = instance.schema().len();
-        let mut maintained = MaintainedInvariant::from_instance(&instance);
-        for r in 0..regions {
-            let region = maintained.region(r).clone();
-            maintained.remove_region(r);
-            maintained.insert_region(r, region);
-        }
-        let cells = maintained.invariant().cell_count();
-        let stats_before = maintained.stats();
-
-        let mut turn = 0usize;
-        let incremental_ns = median_ns(samples, || {
-            let r = turn % regions;
-            turn += 1;
-            let region = maintained.region(r).clone();
-            maintained.remove_region(r);
-            std::hint::black_box(maintained.invariant().code_hash());
-            maintained.insert_region(r, region);
-            std::hint::black_box(maintained.invariant().code_hash());
-        });
-        let stats_after = maintained.stats();
-
-        // The cold baseline over the identical state sequence: the edited
-        // instances are prepared untimed; the rebuilds (and their cold
-        // canonicalisations) are what is timed.
-        let without: Vec<SpatialInstance> = (0..regions)
-            .map(|r| {
-                let mut w = instance.clone();
-                w.set_region(r, Region::new());
-                w
-            })
-            .collect();
-        let mut turn = 0usize;
-        let rebuild_ns = median_ns(samples, || {
-            let r = turn % regions;
-            turn += 1;
-            std::hint::black_box(topo_core::top(&without[r]).code_hash());
-            std::hint::black_box(topo_core::top(&instance).code_hash());
-        });
-
-        // Differential guard: the maintained invariant ends the measurement
-        // bit-identical to a cold rebuild of the same state.
-        assert_eq!(
-            maintained.invariant().canonical_code(),
-            topo_core::top(&instance).canonical_code(),
-            "maintained invariant diverged from cold rebuild"
-        );
-
-        out.push(IncrementalScaleReport {
-            grid,
-            cells,
-            regions,
-            incremental_ns,
-            rebuild_ns,
-            samples,
-            stats: topo_core::MaintainStats {
-                edits: stats_after.edits - stats_before.edits,
-                group_builds: stats_after.group_builds - stats_before.group_builds,
-                group_reuses: stats_after.group_reuses - stats_before.group_reuses,
-                pair_computes: stats_after.pair_computes - stats_before.pair_computes,
-                pair_reuses: stats_after.pair_reuses - stats_before.pair_reuses,
-            },
-        });
-    }
-    out
-}
-
 /// A median that was not measured, as a console cell.
 fn ns_or_skipped(ns: Option<u128>) -> String {
     ns.map_or("(skipped)".to_string(), |n| format!("{n} ns"))
@@ -1159,66 +711,6 @@ fn demand_stage(mode: &Mode) -> Json {
     }
 }
 
-/// The concurrent [`InvariantStore`] on a duplicate-heavy mix: ingest from
-/// scoped threads, then first-touch and warm query sweeps on the memoising
-/// store and one on the memo-disabled baseline.
-fn store_stage(mode: &Mode) -> Json {
-    eprintln!("== store stage ==");
-    let store = measure_store(mode.quick);
-    eprintln!(
-        "  ingest  {:>6} instances ({} bases, {} classes) on {} threads: {:>12} ns  \
-         ({:.0} instances/sec, {} dedup hits)",
-        store.instances,
-        store.bases,
-        store.classes,
-        STORE_INGEST_THREADS,
-        store.ingest_ns,
-        per_sec(store.instances, store.ingest_ns),
-        store.dedup_hits,
-    );
-    eprintln!(
-        "  query   {:>6} queries on {} threads: memo {:>12} ns ({:.0} q/s, hit rate {:.4})  \
-         warm {:>12} ns ({:.0} q/s)  no-memo {:>12} ns ({:.0} q/s)  memo speedup {:.1}x",
-        store.queries,
-        STORE_QUERY_THREADS,
-        store.memo_ns,
-        store.qps(store.memo_ns),
-        store.memo_hit_rate,
-        store.memo_warm_ns,
-        store.qps(store.memo_warm_ns),
-        store.nomemo_ns,
-        store.qps(store.nomemo_ns),
-        store.memo_speedup(),
-    );
-    store.to_json()
-}
-
-/// The durability stage: snapshot + WAL persistence over the in-memory
-/// backend, so the numbers isolate the encode/replay cost from disk I/O.
-fn recovery_stage(mode: &Mode) -> Json {
-    eprintln!("== recovery stage ==");
-    let recovery = measure_persist(mode.quick);
-    for r in &recovery {
-        eprintln!(
-            "  {:>5} instances ({} classes, {} wal records): ingest+log {:>11} ns \
-             ({:.0}/sec), replay {:>10} ns ({:.0} records/sec), snapshot write \
-             {:>9} ns ({} bytes), load {:>9} ns, mixed recover {:>10} ns",
-            r.instances,
-            r.classes,
-            r.wal_records,
-            r.ingest_log_ns,
-            r.ingest_log_per_sec,
-            r.wal_replay_ns,
-            r.wal_replay_records_per_sec,
-            r.snapshot_write_ns,
-            r.snapshot_bytes,
-            r.snapshot_load_ns,
-            r.mixed_recover_ns,
-        );
-    }
-    json_obj! { "scales" => Json::arr(recovery.iter().map(RecoveryReport::to_json)) }
-}
-
 /// The thread-pool sweep: speedup-vs-threads curve for the batched store
 /// ingest.
 fn parallel_stage(mode: &Mode) -> Json {
@@ -1233,47 +725,16 @@ fn parallel_stage(mode: &Mode) -> Json {
     parallel.to_json()
 }
 
-/// The incremental-maintenance stage: single-region edit latency through
-/// MaintainedInvariant vs cold rebuilds of the same states, one row per
-/// workload/scale.
-fn incremental_stage(mode: &Mode) -> Json {
-    eprintln!("== incremental stage per workload ==");
-    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let workloads = per_workload(|name, gen| {
-        let scales = measure_incremental(gen, mode.samples);
-        for scale in &scales {
-            let IncrementalScaleReport { grid, cells, incremental_ns, rebuild_ns, stats, .. } =
-                scale;
-            eprintln!(
-                "  {name:<20} grid {grid:>2}  cells {cells:>6}  edit {incremental_ns:>12} ns  \
-                 rebuild {rebuild_ns:>12} ns  speedup {:>5.1}x  (groups rebuilt {} / reused {})",
-                scale.speedup(),
-                stats.group_builds,
-                stats.group_reuses,
-            );
-        }
-        scales.iter().map(IncrementalScaleReport::to_json).collect()
-    });
-    json_obj! {
-        "host_threads" => host_threads,
-        "grids" => Json::arr(INCREMENTAL_GRIDS),
-        "workloads" => workloads,
-    }
-}
-
 type Measure = fn(&Mode) -> Json;
 
 /// Every stage in run order: `--stage` name, key of its section in the
 /// record, and the measurement that prints its console rows and returns the
 /// section.
-const STAGES: [(&str, &str, Measure); 7] = [
+const STAGES: [(&str, &str, Measure); 4] = [
     ("construction", "workloads", construction_stage),
     ("datalog", "datalog", datalog_stage),
     ("demand", "demand", demand_stage),
-    ("store", "store", store_stage),
-    ("recovery", "recovery", recovery_stage),
     ("parallel", "parallel", parallel_stage),
-    ("incremental", "incremental", incremental_stage),
 ];
 
 const USAGE: &str = "usage: bench_runner [--quick] [--stage NAME]... [--out PATH]";
@@ -1322,15 +783,9 @@ const DESCRIPTION: &str = "per-stage medians (ns) and speedups vs the frozen ref
      component and its start-choice pruning; datalog runs the query library's fixpoint programs \
      (stratified) on program_structure exports, semi-naive vs datalog::naive; demand compares the \
      linear connectivity program under run_goal (magic-set rewrite) with bottom-up run, both \
-     against the retired quadratic program, plus a bound-goal Reach(seed, y) demo; store ingests \
-     a duplicate-heavy mix from scoped threads, then times a first-touch and a warm query sweep \
-     on the memoising store and one sweep on the memo-disabled baseline (memo_speedup = memo_qps \
-     / nomemo_qps, first touch); recovery times WAL-logged ingest, WAL replay, snapshot \
-     write/load and mixed snapshot+WAL recovery on the in-memory backend at three sizes; parallel \
+     against the retired quadratic program, plus a bound-goal Reach(seed, y) demo; parallel \
      sweeps the batched store ingest over pool sizes 1/2/4/8, host_threads recording the cores it \
-     had; incremental times single-region remove/re-insert round trips through \
-     MaintainedInvariant on warmed caches vs two cold top(I) rebuilds, maintain_stats counting \
-     group rebuilds vs reuses. stages_run lists the stages this file holds (--stage filtering); \
+     had. stages_run lists the stages this file holds (--stage filtering); \
      samples objects record the samples used per median; null marks a reference path skipped as \
      intractable";
 
@@ -1342,7 +797,7 @@ fn main() {
         .filter(|(name, ..)| selected.is_empty() || selected.iter().any(|s| s == name))
         .collect();
     let mut record = vec![
-        ("id", Json::from("BENCH_10")),
+        ("id", Json::from("BENCH_16")),
         ("description", Json::from(DESCRIPTION)),
         ("mode", Json::from(if quick { "quick" } else { "full" })),
         ("samples", Json::from(mode.samples)),
@@ -1353,10 +808,10 @@ fn main() {
     for (_, key, measure) in stages {
         record.push((key, measure(&mode)));
     }
-    // Quick mode never overwrites the committed full-sample baseline unless
-    // `--out` names it.
+    // The default paths name no committed record, so only an explicit
+    // `--out` can overwrite one.
     let out_path =
-        out.unwrap_or_else(|| if quick { "BENCH_quick.json" } else { "BENCH_10.json" }.to_string());
+        out.unwrap_or_else(|| if quick { "BENCH_quick.json" } else { "BENCH_16.json" }.to_string());
     std::fs::write(&out_path, Json::obj(record).pretty()).expect("write benchmark baseline");
     eprintln!("wrote {out_path}");
 }

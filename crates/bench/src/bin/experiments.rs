@@ -131,15 +131,17 @@ fn e3_inversion() {
         match rebuilt {
             Ok(rebuilt) => {
                 let (re_invariant, retop_time) = timed(|| top(&rebuilt));
+                let isomorphic = re_invariant.is_isomorphic_to(&invariant);
                 println!(
                     "{:<28} {:>8} {:>10.1?} {:>10.1?} {:>12} {:>8}",
                     name,
                     invariant.cell_count(),
                     invert_time,
                     retop_time,
-                    re_invariant.is_isomorphic_to(&invariant),
+                    isomorphic,
                     rebuilt.point_count()
                 );
+                assert!(isomorphic, "top(invert(top(I))) is not isomorphic to top(I) on {name}");
             }
             Err(err) => println!("{name:<28} inversion unsupported: {err}"),
         }

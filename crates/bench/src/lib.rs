@@ -2,9 +2,9 @@
 //!
 //! The `experiments` binary regenerates every table and figure of the paper's
 //! evaluation (see DESIGN.md, "Experiment / figure / table index"); the
-//! Criterion benches measure the same pipelines with statistical rigour.
-//! Between them they exercise invariant construction (Theorem 2.1),
-//! inversion (Theorem 2.2), the Lemma 3.1 orderings, the fixpoint
+//! `bench_runner` binary times the optimised paths against their frozen
+//! reference oracles. The experiments exercise invariant construction
+//! (Theorem 2.1), inversion (Theorem 2.2), the Lemma 3.1 orderings, the fixpoint
 //! translations (Theorems 4.1/4.2), the single-region `FO_inv` translation
 //! (Theorem 4.9), and the four evaluation strategies of the
 //! practical-considerations section.
@@ -84,7 +84,7 @@ pub fn print_dataset_table(rows: &[DatasetRow]) {
     );
     for row in rows {
         println!(
-            "{:<22} {:>9} {:>10} {:>12} {:>9} {:>12} {:>7.0}x {:>9.2} {:>7} {:>9.1?}",
+            "{:<22} {:>9} {:>10} {:>12} {:>9} {:>12} {:>7.2}x {:>9.2} {:>7} {:>9.1?}",
             row.name,
             row.polygons,
             row.points,

@@ -1,8 +1,8 @@
 //! CLI contract of `bench_runner`: unknown stages or arguments and flags
 //! missing their value fail fast with a diagnostic, the usage line and exit
 //! code 2, and filtered runs emit syntactically valid JSON whose
-//! `stages_run` records exactly the selected subset — including the
-//! `incremental` stage, whose quick run must round-trip end-to-end here.
+//! `stages_run` records exactly the selected subset. The `parallel` stage's
+//! quick run round-trips end-to-end here.
 //!
 //! The binary (and so this test target) requires the `naive-reference`
 //! feature; plain `cargo test` skips it.
@@ -35,9 +35,19 @@ fn usage_error(args: &[&str]) -> String {
 
 #[test]
 fn unknown_stage_fails_fast_with_exit_2() {
-    let stderr = usage_error(&["--stage", "turbo"]);
-    assert!(stderr.contains("unknown stage \"turbo\""), "diagnostic names the bad stage: {stderr}");
-    assert!(stderr.contains("incremental"), "diagnostic lists the valid stages: {stderr}");
+    // `store`, `recovery` and `incremental` were stages once; perfbench
+    // times those service paths now.
+    for stage in ["turbo", "store", "recovery", "incremental"] {
+        let stderr = usage_error(&["--stage", stage]);
+        assert!(
+            stderr.contains(&format!("unknown stage {stage:?}")),
+            "diagnostic names the bad stage: {stderr}"
+        );
+        assert!(
+            stderr.contains("stages: construction, datalog, demand, parallel\n"),
+            "diagnostic lists the valid stages: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -53,38 +63,40 @@ fn unknown_argument_fails_fast_with_exit_2() {
 
 #[test]
 fn dangling_out_flag_fails_fast_with_exit_2() {
-    assert!(usage_error(&["--quick", "--stage", "store", "--out"]).contains("--out needs a path"));
+    assert!(usage_error(&["--quick", "--stage", "demand", "--out"]).contains("--out needs a path"));
 }
 
 #[test]
-fn quick_incremental_stage_round_trips_to_valid_json() {
-    let out = tmp_out("stage_cli_incremental.json");
+fn quick_parallel_stage_round_trips_to_valid_json() {
+    let out = tmp_out("stage_cli_parallel.json");
     let _ = std::fs::remove_file(&out);
     let output = runner()
-        .args(["--quick", "--stage", "incremental", "--out"])
+        .args(["--quick", "--stage", "parallel", "--out"])
         .arg(&out)
         .output()
         .expect("spawn bench_runner");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "quick incremental run failed:\n{stderr}");
+    assert!(output.status.success(), "quick parallel run failed:\n{stderr}");
     assert!(
-        stderr.contains("== incremental stage per workload =="),
+        stderr.contains("== parallel stage =="),
         "the grep-able summary block must be printed: {stderr}"
     );
 
     let json = std::fs::read(&out).expect("the run must write its report");
     json_syntax::parse_json(&json).expect("emitted report must be valid JSON");
     let text = String::from_utf8(json).unwrap();
+    // BENCH_2…10 are committed records; a new run must not pose as one.
+    assert!(text.contains("\"id\": \"BENCH_16\""), "the record is stamped BENCH_16");
     assert!(
-        text.contains("\"stages_run\": [\"incremental\"]"),
+        text.contains("\"stages_run\": [\"parallel\"]"),
         "stages_run must record exactly the selected stage"
     );
-    assert!(text.contains("\"incremental\": {"), "the selected stage's section must be present");
-    for absent in ["\"construction\": {", "\"demand\": {", "\"recovery\": {"] {
+    assert!(text.contains("\"parallel\": {"), "the selected stage's section must be present");
+    for absent in ["\"workloads\": [", "\"datalog\": {", "\"demand\": {"] {
         assert!(!text.contains(absent), "unselected stage section {absent} leaked into the report");
     }
-    for field in ["\"speedup\":", "\"samples_used\":", "\"host_threads\":", "\"maintain_stats\":"] {
-        assert!(text.contains(field), "incremental section must report {field}");
+    for field in ["\"host_threads\":", "\"sweep\":", "\"speedup_vs_1\":"] {
+        assert!(text.contains(field), "parallel section must report {field}");
     }
     let _ = std::fs::remove_file(&out);
 }

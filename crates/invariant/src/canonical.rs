@@ -464,14 +464,10 @@ struct Scratch {
     /// The current candidate's cell order (first-encounter order on the
     /// streamed path). Doubles as the undo log for [`Scratch::reset_ranks`].
     order_buf: Vec<CellRef>,
-    /// DFS stack and the degenerate path's cone token buffer.
+    /// DFS stack and the degenerate path's token buffer (a vertex's cone, or
+    /// a face's sorted incident-edge ranks).
     stack: Vec<(usize, usize)>,
     cone_buf: Vec<u32>,
-    /// Sorted incident-edge ranks of the owned faces, flattened into one
-    /// reusable buffer (no per-face allocation per candidate); `face_spans`
-    /// holds `(start, len, face)` slices of it, in face-rank order.
-    face_rank_buf: Vec<u32>,
-    face_spans: Vec<(u32, u32, usize)>,
 }
 
 impl Scratch {
@@ -483,31 +479,7 @@ impl Scratch {
             order_buf: Vec::new(),
             stack: Vec::new(),
             cone_buf: Vec::new(),
-            face_rank_buf: Vec::new(),
-            face_spans: Vec::new(),
         }
-    }
-
-    /// Appends one face's sorted incident-edge ranks to the flat buffer and
-    /// records its span. Every edge rank of the face's component must already
-    /// be assigned.
-    fn push_face_key(&mut self, face: usize, idx: &Indexes) {
-        let start = self.face_rank_buf.len();
-        for &e in &idx.face_edges[face] {
-            let r = self.erank[e];
-            if r != NO_RANK {
-                self.face_rank_buf.push(r);
-            }
-        }
-        self.face_rank_buf[start..].sort_unstable();
-        self.face_spans.push((start as u32, (self.face_rank_buf.len() - start) as u32, face));
-    }
-
-    /// The sorted incident-edge ranks recorded for the face with the given
-    /// face rank.
-    fn face_key(&self, frank: u32) -> (&[u32], usize) {
-        let (start, len, face) = self.face_spans[frank as usize];
-        (&self.face_rank_buf[start as usize..(start + len) as usize], face)
     }
 
     /// Clears the rank assignments of the current candidate (cheap: only the
@@ -523,10 +495,8 @@ impl Scratch {
         self.order_buf.clear();
     }
 
-    /// Assigns per-kind ranks from an externally built cell order and fills
-    /// the face-key buffers (sorted incident-edge ranks per owned face, in
-    /// face-rank order) so the serialiser can reuse them.
-    fn rank_order(&mut self, order: &[CellRef], idx: &Indexes) {
+    /// Assigns per-kind ranks from an externally built cell order.
+    fn rank_order(&mut self, order: &[CellRef]) {
         debug_assert!(self.order_buf.is_empty());
         let (mut v, mut e, mut f) = (0u32, 0u32, 0u32);
         for &(kind, id) in order {
@@ -545,15 +515,6 @@ impl Scratch {
                 }
             }
             self.order_buf.push((kind, id));
-        }
-        // Faces follow all edges in every component ordering, so every edge
-        // rank is already assigned here.
-        self.face_rank_buf.clear();
-        self.face_spans.clear();
-        for &(kind, id) in order {
-            if kind == CellKind::Face {
-                self.push_face_key(id, idx);
-            }
         }
     }
 }
@@ -897,7 +858,7 @@ fn component_code(
         // candidate orderings at most; enumerate them with the reference
         // enumeration and serialise each.
         for ordering in component_orderings(inv, component, orientation) {
-            scratch.rank_order(&ordering.order, idx);
+            scratch.rank_order(&ordering.order);
             builder.start_candidate();
             let completed = serialize_candidate(
                 inv,
@@ -1189,19 +1150,17 @@ fn serialize_candidate(
                     completed = false;
                     break 'cells;
                 }
-                // The sorted incident-edge ranks were the face's sort key and
-                // sit in the span buffer in face-rank order; reuse them
-                // instead of re-deriving and re-sorting per candidate.
-                let (edge_ranks, key_face) = scratch.face_key(scratch.frank[id]);
-                debug_assert_eq!(key_face, id, "face spans aligned with face ranks");
-                let mut all_emitted = true;
-                for &r in edge_ranks {
-                    if !builder.emit(TAG_EDGE_RANK | r) {
-                        all_emitted = false;
-                        break;
+                // The face's incident-edge ranks, sorted. Edges of other
+                // components on the face's boundary have no rank and are
+                // skipped.
+                scratch.cone_buf.clear();
+                for &e in &idx.face_edges[id] {
+                    if scratch.erank[e] != NO_RANK {
+                        scratch.cone_buf.push(TAG_EDGE_RANK | scratch.erank[e]);
                     }
                 }
-                if !all_emitted {
+                scratch.cone_buf.sort_unstable();
+                if !builder.emit_slice(&scratch.cone_buf) {
                     completed = false;
                     break 'cells;
                 }
